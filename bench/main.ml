@@ -33,7 +33,7 @@ type bench_entry = {
   be_section : string;
   be_system : string;
   be_workers : int;
-  be_engine : string;  (** "seq", "par" (layer-synchronous) or "ws" *)
+  be_engine : string;  (** "seq" or "ws" *)
   be_cores : int;  (** cores available when the row ran; gates refuse
                        rows with [be_cores < be_workers] *)
   be_distinct : int;
@@ -538,17 +538,17 @@ let ablation () =
 (* Scaling: the multicore exploration engine (lib/par)                  *)
 (* ------------------------------------------------------------------ *)
 
-(* States/sec at 1/2/4/8 workers, one sub-section per parallel engine:
-   "scaling" is the layer-synchronous BFS (the --strict-bfs engine),
-   "scaling-after" the barrier-free work-stealing engine. Workers = 1 runs
-   the sequential engine as the common baseline. On a single-core
-   container both curves plateau near 1x — every row records the "cores"
+(* States/sec at 1/2/4/8 workers of the work-stealing engine; workers = 1
+   runs the sequential engine as the baseline. The section keeps its
+   historical name "scaling-after" (it was measured against a
+   layer-synchronous engine since removed). Every row records the "cores"
    available when it ran, and rows with workers > cores are oversubscribed
    (they measure the OS scheduler) so scaling gates refuse them. *)
-let scaling_engine ~section ~engine_name ~footer check_at =
+let scaling_after () =
+  let section = "scaling-after" in
   section_header
-    (Fmt.str "Scaling (%s): %s states/sec vs workers (%d cores available)"
-       section engine_name machine_cores);
+    (Fmt.str "Scaling (%s): ws states/sec vs workers (%d cores available)"
+       section machine_cores);
   let worker_counts = [ 1; 2; 4; 8 ] in
   (match List.filter (fun w -> w > machine_cores) worker_counts with
   | [] -> ()
@@ -573,13 +573,16 @@ let scaling_engine ~section ~engine_name ~footer check_at =
       let base_rate = ref 0. in
       List.iter
         (fun workers ->
-          let r = check_at spec scenario opts workers in
+          let r =
+            if workers = 1 then Explorer.check spec scenario opts
+            else (Par.Ws_explorer.check ~workers spec scenario opts).base
+          in
           let rate = states_per_sec r.Explorer.distinct r.Explorer.duration in
           if workers = 1 then base_rate := rate;
           record_entry
             { be_section = section; be_system = sys.name;
               be_workers = workers;
-              be_engine = (if workers = 1 then "seq" else engine_name);
+              be_engine = (if workers = 1 then "seq" else "ws");
               be_cores = machine_cores;
               be_distinct = r.distinct; be_generated = r.generated;
               be_wall_s = r.duration; be_outcome = outcome_tag r.outcome;
@@ -596,38 +599,20 @@ let scaling_engine ~section ~engine_name ~footer check_at =
           Fmt.pr "%!")
         worker_counts)
     R.scaling;
-  Fmt.pr "%s@." footer
-
-let scaling () =
-  scaling_engine ~section:"scaling" ~engine_name:"par"
-    ~footer:
-      "(workers=1 is the sequential engine; >1 the lib/par \
-       layer-synchronous BFS over a 64-shard fingerprint store; identical \
-       distinct counts across rows of a system confirm \
-       sequential-equivalence)"
-    (fun spec scenario opts workers ->
-      if workers = 1 then Explorer.check spec scenario opts
-      else (Par.Par_explorer.check ~workers spec scenario opts).base)
-
-let scaling_after () =
-  scaling_engine ~section:"scaling-after" ~engine_name:"ws"
-    ~footer:
-      "(workers=1 is the sequential engine; >1 the barrier-free \
-       work-stealing engine. Distinct counts match across rows only when \
-       every row exhausted — a time budget cuts schedule-dependent \
-       prefixes, so budgeted totals differ while exhaustive totals are \
-       worker-count-invariant)"
-    (fun spec scenario opts workers ->
-      if workers = 1 then Explorer.check spec scenario opts
-      else (Par.Ws_explorer.check ~workers spec scenario opts).Par.Ws_explorer.base)
+  Fmt.pr
+    "(workers=1 is the sequential engine; >1 the barrier-free \
+     work-stealing engine. Distinct counts match across rows only when \
+     every row exhausted — a time budget cuts schedule-dependent \
+     prefixes, so budgeted totals differ while exhaustive totals are \
+     worker-count-invariant)@."
 
 (* ------------------------------------------------------------------ *)
 (* Memory: visited-store footprint in bytes per state                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Two measures per run, sequential and 4-worker:
+(* Two measures per run, sequential and 4-worker work-stealing:
      - whole-heap bytes/state: peak GC live words sampled at every layer
-       barrier (after a forced full major, so live_words is exact) minus
+       barrier or pulse (after a forced full major, so live_words is exact) minus
        the pre-run compacted baseline, divided by distinct states;
      - store-only bytes/state and peak slot capacity: the engines'
        visited.* gauges, which isolate the fingerprint store from spec
@@ -641,7 +626,7 @@ let scaling_after () =
    a delta of zero. A fresh process per row makes the baseline exact and
    the rows independent of section order. The full major per layer costs
    wall time, so this section reports footprint, not throughput —
-   states/sec lives in the scaling section. *)
+   states/sec lives in the scaling-after section. *)
 
 type memory_row = {
   mr_distinct : int;
@@ -689,7 +674,11 @@ let memory_child (sys : R.t) scenario workers =
   in
   let r =
     if workers = 1 then Explorer.check spec scenario opts
-    else (Par.Par_explorer.check ~workers spec scenario opts).base
+    else
+      (* pulses are the work-stealing engine's layer barriers; the default
+         1 s period would leave short runs with no heap sample at all *)
+      (Par.Ws_explorer.check ~workers ~pulse_every:0.1 spec scenario opts)
+        .base
   in
   let sm =
     Obs.Run.finish obs ~outcome:(outcome_tag r.outcome) ~distinct:r.distinct
@@ -759,7 +748,7 @@ let memory () =
           record_entry
             { be_section = "memory"; be_system = sys.name;
               be_workers = workers;
-              be_engine = (if workers = 1 then "seq" else "par");
+              be_engine = (if workers = 1 then "seq" else "ws");
               be_cores = machine_cores; be_distinct = m.mr_distinct;
               be_generated = m.mr_generated; be_wall_s = m.mr_wall;
               be_outcome = m.mr_outcome;
@@ -1235,7 +1224,6 @@ let sections =
     "fig6", fig6;
     "fig7", fig7;
     "ablation", ablation;
-    "scaling", scaling;
     "scaling-after", scaling_after;
     "memory", memory;
     "checkpoint", checkpoint_bench;

@@ -57,20 +57,19 @@ let workers_arg =
      work-stealing engine at $(docv) > 1: exhaustive-run totals \
      (distinct/generated) and verdicts are identical at every worker \
      count, but discovery depth and order may differ — pass \
-     $(b,--strict-bfs) for bit-for-bit layer order. simulate/conform \
-     walks are derived from --seed and the walk index alone, so $(docv) \
-     never changes their results."
+     $(b,--strict-bfs) to keep the sequential engine's exact layer order \
+     whatever $(docv). simulate/conform walks are derived from --seed and \
+     the walk index alone, so $(docv) never changes their results."
   in
   Arg.(value & opt int 1 & info [ "workers"; "j" ] ~docv:"N" ~doc)
 
 let strict_bfs_arg =
   let doc =
-    "Use the strict layer-synchronous BFS engines even at -j > 1: \
-     bit-for-bit reproducible exploration order, minimal-depth \
-     counterexamples, and layered checkpoints every engine can resume — \
-     at the cost of a full barrier per layer (worse worker scaling). \
-     Refuses (exit 2) to resume a checkpoint written by the \
-     work-stealing engine, whose frontier has no layer structure."
+    "Run the sequential engine, whatever -j: exact BFS layer order, the \
+     same counters at any stop point, minimal-depth counterexamples, and \
+     layered checkpoints either engine can resume — on one core. Refuses \
+     (exit 2) to resume a checkpoint written by the work-stealing \
+     engine, whose frontier has no layer structure."
   in
   Arg.(value & flag & info [ "strict-bfs" ] ~doc)
 
@@ -336,10 +335,10 @@ let check_cmd =
         in
         let frontier =
           if spill_window > 0 then begin
-            if workers > 1 then
+            if workers > 1 && not strict_bfs then
               Fmt.epr
                 "note: --spill-window only bounds the sequential engine; \
-                 the parallel frontier stays in RAM@.";
+                 the work-stealing frontier stays in RAM@.";
             Some
               (Store.Spill.factory
                  ?dir:(Option.map (fun d -> Filename.concat d "spill") run_dir)
@@ -430,23 +429,13 @@ let check_cmd =
             Store.Exit_code.usage
           end
           else begin
-          (* Engine choice: strict layer-synchronous BFS on demand (or at
-             -j1, where it is also the fastest), the barrier-free
-             work-stealing engine otherwise — and whenever the checkpoint
-             being resumed has an unordered frontier, which only that
-             engine can restore. *)
           let engine =
-            if strict_bfs then if workers = 1 then `Seq else `Par
-            else if workers > 1 || resume_unordered then `Ws
-            else `Seq
+            Par.Engine.choose ~strict_bfs ~workers ~resume_unordered
           in
-          if engine = `Ws && workers = 1 && resume_unordered then
+          if engine = Par.Engine.Ws && workers = 1 && resume_unordered then
             Fmt.epr
               "note: unordered checkpoint — continuing with the \
                work-stealing engine at 1 worker@.";
-          let engine_str =
-            match engine with `Seq -> "seq" | `Par -> "par" | `Ws -> "ws"
-          in
           let cores = Domain.recommended_domain_count () in
           if cores < workers then
             Fmt.epr
@@ -459,7 +448,7 @@ let check_cmd =
                 let m =
                   Store.Manifest.make ~system:sys.name ~scenario:scenario.name
                     ~identity:(Store.Checkpoint.digest_hex identity)
-                    ~engine:engine_str ~workers ~cores
+                    ~engine:(Par.Engine.name engine) ~workers ~cores
                     ~flags:
                       [ ("bugs", bug_flags);
                         ("nodes", string_of_int scenario.nodes);
@@ -480,29 +469,11 @@ let check_cmd =
                 m)
               run_dir
           in
-          let shard_gauges shard_stats =
-            (* fingerprint-table occupancy per shard, as end-of-run gauges *)
-            Array.iteri
-              (fun i (st : Par.Shard_set.stat) ->
-                Probe.gauge probe
-                  (Printf.sprintf "fptable.shard%02d.entries" i)
-                  (float_of_int st.s_entries))
-              shard_stats
-          in
           let result =
             match engine with
-            | `Seq -> Explorer.check ?resume:resume_snap spec scenario opts
-            | `Par ->
-              let r =
-                Par.Par_explorer.check ~workers ?resume:resume_snap spec
-                  scenario opts
-              in
-              Fmt.epr "parallel BFS: %d workers, %d layers@." r.workers
-                r.layers;
-              Fmt.epr "%a" Par.Par_explorer.pp_worker_stats r;
-              shard_gauges r.shard_stats;
-              r.base
-            | `Ws ->
+            | Par.Engine.Seq ->
+              Explorer.check ?resume:resume_snap spec scenario opts
+            | Par.Engine.Ws ->
               (* a wall-clock telemetry cadence doubles as the pulse
                  period, so samples land exactly when asked for *)
               let pulse_every = telemetry.Obs.Telemetry.tc_seconds in
@@ -510,8 +481,15 @@ let check_cmd =
                 Par.Ws_explorer.check ~workers ?pulse_every
                   ?resume:resume_snap spec scenario opts
               in
-              Fmt.epr "%a@." Par.Ws_explorer.pp_result r;
-              shard_gauges r.shard_stats;
+              Fmt.epr "%a" Par.Ws_explorer.pp_result r;
+              (* fingerprint-table occupancy per shard, as end-of-run
+                 gauges *)
+              Array.iteri
+                (fun i (st : Par.Shard_set.stat) ->
+                  Probe.gauge probe
+                    (Printf.sprintf "fptable.shard%02d.entries" i)
+                    (float_of_int st.s_entries))
+                r.shard_stats;
               r.base
           in
           Fmt.pr "%a@." Explorer.pp_result result;

@@ -3,9 +3,11 @@
      dune exec examples/parallel_exploration.exe
 
    1. explore the buggy raftos spec with the sequential BFS engine,
-   2. explore it again with the layer-synchronous parallel BFS at 4 workers
-      and check the two results agree bit-for-bit (distinct states, outcome,
-      violation depth — the parallel engine is sequential-equivalent),
+   2. explore it again with the work-stealing engine at 4 workers and check
+      that it reaches the same verdict: the same invariant is violated, by
+      a counterexample no shorter than the sequential engine's minimal one
+      (work stealing discovers states out of BFS order, so its trace may be
+      longer and its counters differ at the early stop),
    3. generate random walks on a domain pool and show that the walk list for
       a fixed root seed is independent of the worker count. *)
 
@@ -26,16 +28,17 @@ let () =
   let seq = Explorer.check spec scenario opts in
   Fmt.pr "   %a@.@." Explorer.pp_result seq;
 
-  Fmt.pr "2. parallel BFS, 4 workers...@.";
-  let par = Par.Par_explorer.check ~workers:4 spec scenario opts in
-  Fmt.pr "   %a@." Explorer.pp_result par.base;
-  Fmt.pr "   %a@." Par.Par_explorer.pp_worker_stats par;
+  Fmt.pr "2. work-stealing exploration, 4 workers...@.";
+  let ws = Par.Ws_explorer.check ~workers:4 spec scenario opts in
+  Fmt.pr "   %a@." Explorer.pp_result ws.base;
+  Fmt.pr "   %a@." Par.Ws_explorer.pp_result ws;
   let agree =
-    seq.distinct = par.base.distinct
-    && seq.generated = par.base.generated
-    && seq.max_depth = par.base.max_depth
+    match (seq.outcome, ws.base.outcome) with
+    | Explorer.Violation sv, Explorer.Violation wv ->
+      sv.invariant = wv.invariant && wv.depth >= sv.depth
+    | _ -> false
   in
-  Fmt.pr "   sequential-equivalent: %b@.@." agree;
+  Fmt.pr "   same verdict, sequential depth minimal: %b@.@." agree;
 
   Fmt.pr "3. parallel simulation, fixed seed at 1 vs 4 workers...@.";
   let walk_opts =

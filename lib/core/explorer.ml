@@ -108,9 +108,26 @@ type result = {
 
 exception Stop of outcome
 
+(* The visited-store gauges, reported by both engines at every layer
+   barrier (or work-stealing pulse) and once at the end of a run; the final
+   report passes [probe_steps] and adds the per-state figures. *)
+let visited_gauges probe ~entries ~capacity ~store_bytes ?probe_steps () =
+  if Probe.is_on probe then begin
+    Probe.gauge probe "visited.entries" (float_of_int entries);
+    Probe.gauge probe "visited.capacity" (float_of_int capacity);
+    Probe.gauge probe "visited.store_bytes" (float_of_int store_bytes);
+    Option.iter
+      (fun steps ->
+        if entries > 0 then
+          Probe.gauge probe "visited.bytes_per_state"
+            (float_of_int store_bytes /. float_of_int entries);
+        Probe.gauge probe "visited.probe_steps" (float_of_int steps))
+      probe_steps
+  end
+
 module Run (S : Spec.S) = struct
-  (* [probe] is threaded separately from [opts] so the parallel engine can
-     hand each worker its own (domain-local) probe view. The [bool] of
+  (* [probe] is threaded separately from [opts] so the work-stealing engine
+     can hand each worker its own (domain-local) probe view. The [bool] of
      [fingerprint_info] reports whether symmetry canonicalization changed
      the fingerprint — fed to the profiler's per-edge [sym] flag. *)
   let fingerprint_info ?probe opts scenario state =
@@ -136,8 +153,73 @@ module Run (S : Spec.S) = struct
       Probe.count probe "fp.bytes" (Fingerprint.marshalled_bytes () - b0);
     (fp, sym)
 
-  let fingerprint ?probe opts scenario state =
-    fst (fingerprint_info ?probe opts scenario state)
+  let selected_invariants opts =
+    match opts.only_invariants with
+    | None -> S.invariants
+    | Some names ->
+      List.filter (fun (name, _) -> List.mem name names) S.invariants
+
+  (* The successor of [state] reached by [event], if it is enabled. *)
+  let step scenario state event =
+    List.find_map
+      (fun (e, s') -> if Trace.equal_event e event then Some s' else None)
+      (S.next scenario state)
+
+  (* Re-execute a recorded event chain concretely to recover the final
+     state for reporting. Every recorded event was generated from the stored
+     concrete chain, so replay cannot fail. *)
+  let final_state scenario init_index events =
+    List.fold_left
+      (fun state event ->
+        match step scenario state event with
+        | Some s' -> s'
+        | None -> invalid_arg "Explorer: unreplayable provenance chain")
+      (List.nth (S.init scenario) init_index)
+      events
+
+  let violation scenario (init_index, events) invariant depth =
+    let state = final_state scenario init_index events in
+    { invariant; events; depth; state_repr = Fmt.str "%a" S.pp_state state }
+
+  (* Recover concrete states from a visited set by replaying provenance
+     chains ([lookup] reads one entry's provenance). Chains share prefixes
+     (they form the BFS tree), so every intermediate state is memoized by
+     fingerprint and replayed at most once across all calls of the
+     returned function. Used on resume and kernel migration only. *)
+  let replayer scenario lookup =
+    let memo : S.state Fingerprint.Tbl.t = Fingerprint.Tbl.create 1024 in
+    let inits = lazy (S.init scenario) in
+    fun fp0 ->
+      (* walk back to the nearest memoized ancestor (or a root), then
+         replay forward, memoizing every step *)
+      let rec collect fp pending =
+        match Fingerprint.Tbl.find_opt memo fp with
+        | Some s -> s, pending
+        | None -> (
+          match lookup fp with
+          | None ->
+            invalid_arg
+              "Explorer: checkpoint references a fingerprint missing from \
+               its visited set (corrupted checkpoint?)"
+          | Some (Root i) ->
+            let s = List.nth (Lazy.force inits) i in
+            Fingerprint.Tbl.replace memo fp s;
+            s, pending
+          | Some (Step { parent; event }) ->
+            collect parent ((fp, event) :: pending))
+      in
+      let base, pending = collect fp0 [] in
+      List.fold_left
+        (fun state (fp, event) ->
+          match step scenario state event with
+          | Some s' ->
+            Fingerprint.Tbl.replace memo fp s';
+            s'
+          | None ->
+            invalid_arg
+              "Explorer: unreplayable checkpoint provenance chain (spec \
+               changed since the checkpoint was written?)")
+        base pending
 
   (* Walk provenance back to a root, returning (init_index, events). *)
   let trace_of visited idx =
@@ -148,87 +230,19 @@ module Run (S : Spec.S) = struct
     in
     back idx []
 
-  (* Re-execute the recorded event chain concretely to recover the final
-     state for reporting. Every recorded event was generated from the stored
-     concrete chain, so replay cannot fail. *)
-  let final_state scenario init_index events =
-    let inits = S.init scenario in
-    let s0 = List.nth inits init_index in
-    List.fold_left
-      (fun state event ->
-        match
-          List.find_map
-            (fun (e, s') ->
-              if Trace.equal_event e event then Some s' else None)
-            (S.next scenario state)
-        with
-        | Some s' -> s'
-        | None -> invalid_arg "Explorer: unreplayable provenance chain")
-      s0 events
-
-  let violation_of visited scenario idx invariant depth =
-    let init_index, events = trace_of visited idx in
-    let state = final_state scenario init_index events in
-    { invariant; events; depth; state_repr = Fmt.str "%a" S.pp_state state }
-
-  (* Recover the concrete states of a checkpointed frontier by replaying
-     each entry's provenance chain. Chains share prefixes (they form the
-     BFS tree), so every intermediate state is memoized by entry index and
-     replayed at most once. *)
-  let rebuild_frontier visited scenario fps =
-    let memo : (int, S.state) Hashtbl.t = Hashtbl.create 1024 in
-    let inits = lazy (S.init scenario) in
-    let idx_of fp =
-      match Fp_store.find visited fp with
-      | Some e -> e
-      | None ->
-        invalid_arg
-          "Explorer: checkpoint frontier references a fingerprint missing \
-           from its visited set (corrupted checkpoint?)"
-    in
-    let state_of fp0 =
-      (* walk back to the nearest memoized ancestor (or a root), then
-         replay forward, memoizing every step *)
-      let rec collect idx pending =
-        match Hashtbl.find_opt memo idx with
-        | Some s -> s, pending
-        | None -> (
-          match Fp_store.prov visited idx with
-          | Fp_store.Proot i ->
-            let s = List.nth (Lazy.force inits) i in
-            Hashtbl.replace memo idx s;
-            s, pending
-          | Fp_store.Pstep (pred, event) ->
-            collect pred ((idx, event) :: pending))
-      in
-      let base, pending = collect (idx_of fp0) [] in
-      List.fold_left
-        (fun state (idx, event) ->
-          match
-            List.find_map
-              (fun (e, s') ->
-                if Trace.equal_event e event then Some s' else None)
-              (S.next scenario state)
-          with
-          | Some s' ->
-            Hashtbl.replace memo idx s';
-            s'
-          | None ->
-            invalid_arg
-              "Explorer: unreplayable checkpoint provenance chain (spec \
-               changed since the checkpoint was written?)")
-        base pending
-    in
-    List.map state_of fps
+  let prov_at visited idx =
+    match Fp_store.prov visited idx with
+    | Fp_store.Proot i -> Root i
+    | Fp_store.Pstep (pred, event) ->
+      Step { parent = Fp_store.fp visited pred; event }
 
   (* Rebuild a snapshot whose fingerprints came from a different hash
      kernel: replay every visited entry's provenance chain to its concrete
-     state (memoized — each state is computed once, like
-     [rebuild_frontier]) and re-fingerprint it under the current kernel.
-     The old fingerprints act purely as opaque keys here, so the snapshot
-     survives any kernel change, in either direction. Costs roughly the
-     exploration work the checkpoint had already banked, and holds the
-     checkpointed states in memory while it runs. *)
+     state and re-fingerprint it under the current kernel. The old
+     fingerprints act purely as opaque keys here, so the snapshot survives
+     any kernel change, in either direction. Costs roughly the exploration
+     work the checkpoint had already banked, and holds the checkpointed
+     states in memory while it runs. *)
   let migrate_snapshot scenario opts (snap : snapshot) : snapshot =
     let entries = Fingerprint.Tbl.create 4096 in
     let order = ref [] in
@@ -236,48 +250,15 @@ module Run (S : Spec.S) = struct
         Fingerprint.Tbl.replace entries fp (prov, d);
         order := fp :: !order);
     let order = List.rev !order in
-    let memo : S.state Fingerprint.Tbl.t = Fingerprint.Tbl.create 4096 in
-    let inits = lazy (S.init scenario) in
-    let state_of fp0 =
-      let rec collect fp pending =
-        match Fingerprint.Tbl.find_opt memo fp with
-        | Some s -> s, pending
-        | None -> (
-          match Fingerprint.Tbl.find_opt entries fp with
-          | None ->
-            invalid_arg
-              "Explorer: checkpoint provenance references a fingerprint \
-               missing from its visited set (corrupted checkpoint?)"
-          | Some (Root i, _) ->
-            let s = List.nth (Lazy.force inits) i in
-            Fingerprint.Tbl.replace memo fp s;
-            s, pending
-          | Some (Step { parent; event }, _) ->
-            collect parent ((fp, event) :: pending))
-      in
-      let base, pending = collect fp0 [] in
-      List.fold_left
-        (fun state (fp, event) ->
-          match
-            List.find_map
-              (fun (e, s') ->
-                if Trace.equal_event e event then Some s' else None)
-              (S.next scenario state)
-          with
-          | Some s' ->
-            Fingerprint.Tbl.replace memo fp s';
-            s'
-          | None ->
-            invalid_arg
-              "Explorer: unreplayable checkpoint provenance chain (spec \
-               changed since the checkpoint was written?)")
-        base pending
+    let state_of =
+      replayer scenario (fun fp ->
+          Option.map fst (Fingerprint.Tbl.find_opt entries fp))
     in
     let remapped = Fingerprint.Tbl.create 4096 in
     List.iter
       (fun fp ->
         Fingerprint.Tbl.replace remapped fp
-          (fingerprint opts scenario (state_of fp)))
+          (fst (fingerprint_info opts scenario (state_of fp))))
       order;
     let remap fp = Fingerprint.Tbl.find remapped fp in
     { snap with
@@ -297,6 +278,11 @@ module Run (S : Spec.S) = struct
               k (remap fp) prov d)
             order) }
 
+  (* A snapshot from an older fingerprint kernel is migrated first. *)
+  let current_kernel scenario opts (snap : snapshot) =
+    if snap.snap_kernel = Fingerprint.kernel_id then snap
+    else migrate_snapshot scenario opts snap
+
   let check ?resume scenario opts =
     let started = Unix.gettimeofday () in
     let probe = opts.probe in
@@ -304,16 +290,10 @@ module Run (S : Spec.S) = struct
     | Some { snap_mode = Unordered; _ } ->
       invalid_arg
         "Explorer: checkpoint frontier mode is unordered (written by the \
-         work-stealing engine); the strict-BFS engine cannot restore its \
+         work-stealing engine); the sequential engine cannot restore its \
          layer invariant — resume without --strict-bfs, or start fresh"
     | _ -> ());
-    let resume =
-      Option.map
-        (fun (snap : snapshot) ->
-          if snap.snap_kernel = Fingerprint.kernel_id then snap
-          else migrate_snapshot scenario opts snap)
-        resume
-    in
+    let resume = Option.map (current_kernel scenario opts) resume in
     let visited = Fp_store.create () in
     let fr =
       match opts.frontier with
@@ -326,18 +306,13 @@ module Run (S : Spec.S) = struct
       Option.map (fun budget -> started +. budget) opts.time_budget
     in
     let elapsed () = Unix.gettimeofday () -. started in
-    let selected_invariants =
-      match opts.only_invariants with
-      | None -> S.invariants
-      | Some names ->
-        List.filter (fun (name, _) -> List.mem name names) S.invariants
-    in
+    let selected_invariants = selected_invariants opts in
     let check_invariants idx depth state =
       Probe.span_begin probe "invariant";
       List.iter
         (fun (name, holds) ->
           if not (holds scenario state) then begin
-            let v = violation_of visited scenario idx name depth in
+            let v = violation scenario (trace_of visited idx) name depth in
             if opts.stop_on_violation then raise (Stop (Violation v))
           end)
         selected_invariants;
@@ -422,12 +397,16 @@ module Run (S : Spec.S) = struct
       generated := snap.snap_generated;
       max_depth_seen := snap.snap_max_depth;
       cur_depth := snap.snap_depth;
-      let states = rebuild_frontier visited scenario snap.snap_frontier in
-      List.iter2
-        (fun fp state ->
+      let state_of =
+        replayer scenario (fun fp ->
+            Option.map (prov_at visited) (Fp_store.find visited fp))
+      in
+      List.iter
+        (fun fp ->
+          let state = state_of fp in
           let idx = Option.get (Fp_store.find visited fp) in
           fr.fr_push (state, idx, snap.snap_depth))
-        snap.snap_frontier states);
+        snap.snap_frontier);
     let snapshot_now () =
       let fps = ref [] in
       fr.fr_iter (fun (_, idx, _) -> fps := Fp_store.fp visited idx :: !fps);
@@ -440,14 +419,8 @@ module Run (S : Spec.S) = struct
         snap_mode = Layered;
         snap_visited =
           (fun k ->
-            Fp_store.iter visited (fun _ fp prov depth ->
-                let prov =
-                  match prov with
-                  | Fp_store.Proot i -> Root i
-                  | Fp_store.Pstep (pred, event) ->
-                    Step { parent = Fp_store.fp visited pred; event }
-                in
-                k fp prov depth)) }
+            Fp_store.iter visited (fun idx fp _ depth ->
+                k fp (prov_at visited idx) depth)) }
     in
     let layer_remaining = ref (fr.fr_length ()) in
     Probe.span_begin probe "expand";
@@ -456,44 +429,27 @@ module Run (S : Spec.S) = struct
         let continue = ref true in
         while !continue do
           if !layer_remaining = 0 then begin
-            match fr.fr_length () with
-            | 0 ->
-              continue := false;
-              (* terminal empty-frontier record, matching the parallel
-                 engine's last layer barrier — keeps per-layer event logs
-                 identical across engines and worker counts *)
-              if Probe.is_on probe then begin
-                Probe.gauge probe "visited.entries"
-                  (float_of_int (Fp_store.length visited));
-                Probe.gauge probe "visited.capacity"
-                  (float_of_int (Fp_store.capacity visited));
-                Probe.gauge probe "visited.store_bytes"
-                  (float_of_int (Fp_store.store_bytes visited))
-              end;
-              Probe.layer probe ~depth:(!cur_depth + 1)
-                ~distinct:(Fp_store.length visited)
-                ~generated:!generated ~frontier:0 ~elapsed:(elapsed ())
-            | n ->
+            (* a layer barrier; an empty frontier still fires a terminal
+               layer record, so the event log always ends with one. The
+               visited gauges are refreshed before the record so the
+               telemetry sampler reads this layer's values. *)
+            let n = fr.fr_length () in
+            if n > 0 then Probe.span_end probe "expand";
+            visited_gauges probe ~entries:(Fp_store.length visited)
+              ~capacity:(Fp_store.capacity visited)
+              ~store_bytes:(Fp_store.store_bytes visited) ();
+            Probe.layer probe ~depth:(!cur_depth + 1)
+              ~distinct:(Fp_store.length visited)
+              ~generated:!generated ~frontier:n ~elapsed:(elapsed ());
+            if n = 0 then continue := false
+            else begin
               layer_remaining := n;
               incr cur_depth;
-              Probe.span_end probe "expand";
-              (* refresh visited gauges before the layer record so the
-                 telemetry sampler reads this layer's values *)
-              if Probe.is_on probe then begin
-                Probe.gauge probe "visited.entries"
-                  (float_of_int (Fp_store.length visited));
-                Probe.gauge probe "visited.capacity"
-                  (float_of_int (Fp_store.capacity visited));
-                Probe.gauge probe "visited.store_bytes"
-                  (float_of_int (Fp_store.store_bytes visited))
-              end;
-              Probe.layer probe ~depth:!cur_depth
-                ~distinct:(Fp_store.length visited)
-                ~generated:!generated ~frontier:n ~elapsed:(elapsed ());
               Option.iter
                 (fun hook -> hook !cur_depth (lazy (snapshot_now ())))
                 opts.on_layer;
               Probe.span_begin probe "expand"
+            end
           end;
           if !continue then begin
             let state, idx, depth = Option.get (fr.fr_pop ()) in
@@ -508,11 +464,8 @@ module Run (S : Spec.S) = struct
                   | Some name -> Probe.count probe name 1
                   | None -> ())
                 successors;
-            if successors = [] && opts.check_deadlock then begin
-              let init_index, events = trace_of visited idx in
-              ignore init_index;
-              raise (Stop (Deadlock events))
-            end;
+            if successors = [] && opts.check_deadlock then
+              raise (Stop (Deadlock (snd (trace_of visited idx))));
             List.iter
               (fun (event, state') ->
                 incr generated;
@@ -525,19 +478,10 @@ module Run (S : Spec.S) = struct
     in
     Probe.span_end probe "expand";
     fr.fr_close ();
-    if Probe.is_on probe then begin
-      let n = Fp_store.length visited in
-      let bytes = Fp_store.store_bytes visited in
-      Probe.gauge probe "visited.entries" (float_of_int n);
-      Probe.gauge probe "visited.capacity"
-        (float_of_int (Fp_store.capacity visited));
-      Probe.gauge probe "visited.store_bytes" (float_of_int bytes);
-      if n > 0 then
-        Probe.gauge probe "visited.bytes_per_state"
-          (float_of_int bytes /. float_of_int n);
-      Probe.gauge probe "visited.probe_steps"
-        (float_of_int (Fp_store.probe_steps visited))
-    end;
+    visited_gauges probe ~entries:(Fp_store.length visited)
+      ~capacity:(Fp_store.capacity visited)
+      ~store_bytes:(Fp_store.store_bytes visited)
+      ~probe_steps:(Fp_store.probe_steps visited) ();
     { outcome;
       distinct = Fp_store.length visited;
       generated = !generated;

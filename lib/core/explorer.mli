@@ -20,7 +20,7 @@ type frontier_mode =
       (** frontier states carry heterogeneous depths (work-stealing
           quiescent point, [snap_depth] = their minimum; per-state depths
           live in the visited set). Only the work-stealing engine can
-          resume it — strict-BFS engines refuse with a named error. *)
+          resume it — the sequential engine refuses with a named error. *)
 (** Which frontier discipline produced a snapshot. *)
 
 type snapshot = {
@@ -141,6 +141,54 @@ val migrate_snapshot : Spec.t -> Scenario.t -> options -> snapshot -> snapshot
     migrate-and-save without resuming. *)
 
 val pp_result : Format.formatter -> result -> unit
+
+(** {2 Shared with the work-stealing engine}
+
+    One definition of each helper both engines need. None of them sits on
+    the sequential engine's per-state path except [fingerprint_info];
+    the replay helpers run only on resume and violation reporting. *)
+
+val visited_gauges :
+  Probe.t option -> entries:int -> capacity:int -> store_bytes:int ->
+  ?probe_steps:int -> unit -> unit
+(** Report the [visited.*] gauges of a visited store. Engines call it at
+    every layer barrier (or pulse) and once at the end of a run with
+    [probe_steps], which adds [visited.bytes_per_state] and
+    [visited.probe_steps]. No-op when the probe is off. *)
+
+module Run (S : Spec.S) : sig
+  val fingerprint_info :
+    ?probe:Probe.t -> options -> Scenario.t -> S.state -> Fingerprint.t * bool
+  (** The state's fingerprint — symmetry-canonical when [opts.symmetry]
+      and the spec is permutable — and whether canonicalization changed
+      it (the profiler's per-edge [sym] flag). Reports [symmetry-normalize]
+      or [fingerprint] spans and the [fp.bytes] counter into [probe]. *)
+
+  val selected_invariants :
+    options -> (string * (Scenario.t -> S.state -> bool)) list
+  (** [S.invariants] restricted by [opts.only_invariants]. *)
+
+  val final_state : Scenario.t -> int -> Trace.t -> S.state
+  (** Replay [events] from the init state with the given index. Raises
+      [Invalid_argument] if some event is not enabled. *)
+
+  val violation : Scenario.t -> int * Trace.t -> string -> int -> violation
+  (** [violation scenario (init_index, events) invariant depth] builds the
+      report, replaying [events] for the final state's rendering. *)
+
+  val replayer :
+    Scenario.t -> (Fingerprint.t -> provenance option) ->
+    Fingerprint.t -> S.state
+  (** [replayer scenario lookup] recovers concrete states by replaying
+      provenance chains read through [lookup], memoizing every state it
+      computes (chains share prefixes), so a whole frontier costs one
+      replay per distinct ancestor. Raises [Invalid_argument] on a missing
+      entry or an unreplayable event. *)
+
+  val current_kernel : Scenario.t -> options -> snapshot -> snapshot
+  (** The snapshot itself, or its {!migrate_snapshot} when it was taken
+      under another fingerprint kernel. *)
+end
 
 type stateless_result = {
   sl_executions : int;  (** traces enumerated *)

@@ -58,11 +58,6 @@ let edge p ~depth ~event ~dup ~sym =
   | None -> ()
   | Some t -> t.sink.s_edge ~worker:t.worker ~depth ~event ~dup ~sym
 
-let edge_fix p ~depth ~event =
-  match p with
-  | None -> ()
-  | Some t -> t.sink.s_edge_fix ~worker:t.worker ~depth ~event
-
 let span p name f =
   match p with
   | None -> f ()

@@ -44,10 +44,9 @@ type sink = {
           engines for every generated successor; feeds the exploration
           profiler ([Obs.Profile]). *)
   s_edge_fix : worker:int -> depth:int -> event:Trace.event option -> unit;
-      (** re-attribute an edge previously reported fresh as a duplicate:
-          the parallel engine emits this when a lower-(depth, pos) arrival
-          displaces a stored entry, so per-event duplicate rows stay exact
-          at every worker count. *)
+      (** never called: no engine re-attributes an edge any more. The
+          field stays so that sinks built as record literals outside this
+          library keep compiling; [Obs.Run] fills it with a no-op. *)
 }
 
 type t
@@ -80,11 +79,6 @@ val edge :
 (** Report one discovery edge to the profiler. Guard the call with
     {!is_on} so the [Some event] box is never allocated when the probe is
     off. *)
-
-val edge_fix :
-  t option -> depth:int -> event:Trace.event option -> unit
-(** Flip an already-reported fresh edge at [depth] via [event] to
-    duplicate (the insertion race loser, discovered after the fact). *)
 
 val span : t option -> string -> (unit -> 'a) -> 'a
 (** [span p name f] runs [f] inside a [name] span (exception-safe). With

@@ -115,27 +115,6 @@ let edge t ~worker ~depth ~event ~dup ~sym =
     kr.kr_exp <- kr.kr_exp + 1;
     if dup then kr.kr_dup <- kr.kr_dup + 1
 
-(* Re-attribute an edge already recorded as fresh: the parallel engine
-   discovers after the fact (a lower-(depth, pos) arrival displaced a
-   stored entry) that the displaced discovering edge was the duplicate.
-   Only the duplicate tallies move — the edge itself was already counted
-   in [ws_edges] / [dr_generated] / [kr_exp] by whichever worker reported
-   it; summing across workers makes the merged totals exact. *)
-let fix t ~worker ~depth ~event =
-  let w = t.ws.(if worker >= 0 && worker < Array.length t.ws then worker else 0) in
-  let row = drow_at w (max 0 depth) in
-  row.dr_dup <- row.dr_dup + 1;
-  match event with
-  | None -> ()
-  | Some ev ->
-    let key = key_of_event ev in
-    (match Hashtbl.find_opt w.ws_kinds key with
-    | Some kr -> kr.kr_dup <- kr.kr_dup + 1
-    | None ->
-      (* the original edge was recorded by another worker; a dup-only row
-         here still sums correctly *)
-      Hashtbl.replace w.ws_kinds key { kr_exp = 0; kr_dup = 1 })
-
 type depth_row = {
   pd_depth : int;
   pd_roots : int;

@@ -5,17 +5,14 @@
     hook; each worker owns a private accumulator (same no-lock discipline
     as {!Metrics}), and {!summarize} merges them deterministically at the
     end of the run — sums commute and both output families are sorted. All
-    totals, the per-depth split and the per-event {e expansion} counts are
-    identical at every worker count (they are facts about the state
-    graph). The per-event {e duplicate} split is exact in the strict-BFS
-    engines at every worker count: when several same-layer edges race to
-    one new fingerprint, the eventual winner is the minimal-(depth, pos)
-    edge — the same one sequential BFS keeps — and each displacement
-    re-attributes the loser via {!fix}, so exactly the k-1 non-minimal
-    arrivals of a k-contested fingerprint count as duplicates. Under the
-    work-stealing engine the per-event duplicate rows are first-arrival
-    attributed (totals remain exact and -j-invariant; the per-event split
-    can vary with schedule, since discovery order is unordered there).
+    totals and the per-event {e expansion} counts are identical at every
+    worker count (they are facts about the state graph). The sequential
+    engine (and so [--strict-bfs] at any [-j]) attributes in BFS order:
+    per-depth rows use BFS depth, and the first arrival at a fingerprint
+    is the fresh edge, every later arrival a duplicate. The work-stealing
+    engine attributes to first arrival at its discovery depth, so its
+    per-depth rows and per-event duplicate split can vary with schedule
+    while the totals stay exact.
 
     The summary answers the questions [sandtable stats] and the regression
     gate care about: how discovery splits per depth (distinct vs duplicate
@@ -37,13 +34,6 @@ val edge :
   dup:bool -> sym:bool -> unit
 (** One discovery edge; call only from the owning worker's domain.
     [event = None] marks an init-state root. *)
-
-val fix :
-  t -> worker:int -> depth:int -> event:Sandtable.Trace.event option -> unit
-(** Re-attribute an edge previously reported fresh as a duplicate (the
-    minimal-(depth, pos) merge displaced its entry). Increments only the
-    duplicate tallies for [depth] and [event]; the edge itself was already
-    counted by {!edge}. Call from the displacing worker's domain. *)
 
 type depth_row = {
   pd_depth : int;

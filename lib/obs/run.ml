@@ -106,9 +106,8 @@ let create ?(workers = 1) ?trace_out ?dir ?(trace_phases = default_trace_phases)
   let s_edge ~worker ~depth ~event ~dup ~sym =
     Profile.edge profile ~worker ~depth ~event ~dup ~sym
   in
-  let s_edge_fix ~worker ~depth ~event =
-    Profile.fix profile ~worker ~depth ~event
-  in
+  (* no engine calls it; see Probe.sink *)
+  let s_edge_fix ~worker:_ ~depth:_ ~event:_ = () in
   let probe =
     Some (Probe.make ~worker:0
             { Probe.s_count; s_gauge; s_begin; s_end; s_span; s_layer;
@@ -169,10 +168,10 @@ let finish t ~outcome ?(distinct = 0) ?(generated = 0) ?(max_depth = 0)
   let now = Unix.gettimeofday () in
   Array.iter (fun c -> Metrics.drain c ~now) t.collectors;
   let m = derive_perm_split (Metrics.merge t.collectors) in
-  (* barrier-idle: share of worker time spent waiting — at layer barriers
-     (strict BFS) or idle-stealing (work-stealing engine) — relative to
-     productive phase time ("expand" for exploration, "walks" for
-     simulation). 0 for sequential runs, which never wait. *)
+  (* barrier-idle: share of worker time spent waiting — idle-stealing
+     (work-stealing engine) or at batch barriers (parallel simulation) —
+     relative to productive phase time ("expand" for exploration, "walks"
+     for simulation). 0 for sequential runs, which never wait. *)
   let busy =
     Metrics.timer_total m "expand" +. Metrics.timer_total m "walks"
   in

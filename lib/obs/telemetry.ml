@@ -99,7 +99,7 @@ let sample t ~layer ~depth ~distinct ~generated ~frontier ~collectors ~now =
              p.wp_steals <- steals;
              p.wp_steal_failed <- steal_failed;
              (* queue depth is a work-stealing gauge set at each pulse;
-                absent (strict engines) it is simply omitted *)
+                absent (sequential engine) it is simply omitted *)
              let qdepth =
                match Metrics.gauge_last_of c "queue.depth" with
                | Some v -> [ ("queue_depth", int (int_of_float v)) ]

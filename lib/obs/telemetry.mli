@@ -1,13 +1,15 @@
 (** Time-series run telemetry: one ndjson record per sampled BFS layer
-    barrier, appended to [telemetry.ndjsonl] in the run directory and
-    flushed per line (a crashed run keeps every completed sample;
-    [stats --follow] tails it live).
+    barrier (sequential engine) or quiescent pulse (work-stealing engine),
+    appended to [telemetry.ndjsonl] in the run directory and flushed per
+    line (a crashed run keeps every completed sample; [stats --follow]
+    tails it live).
 
     Samples are taken by {!Run}'s layer hook {e at the barrier}, while
     every worker domain is parked — the only point where per-worker
-    collectors can be read without races and where the layer-aligned
-    fields (layer, depth, distinct, generated, frontier, fault phase) are
-    deterministic for the deterministic engines, at every worker count.
+    collectors can be read without races. Under the sequential engine the
+    layer-aligned fields (layer, depth, distinct, generated, frontier,
+    fault phase) are deterministic; pulses are timed, so under work
+    stealing they are not.
     Wall-clock fields — per-worker states/s and expand vs barrier-wait
     split, spill bytes, GC heap words and major collections — are
     diagnostic and machine-dependent. *)

@@ -1,9 +1,10 @@
 (** A fixed pool of OCaml 5 domains running barrier-style jobs.
 
-    The pool is created once per exploration and reused for every BFS layer
-    (spawning domains per layer would cost ~100µs each). The calling domain
-    participates as worker 0, so a pool of size 1 spawns nothing and adds no
-    synchronisation — the [--workers 1] path stays sequential. *)
+    The work-stealing explorer runs its workers as one job; parallel
+    simulation and shrinking run one job per batch, reusing the pool
+    (spawning domains per job would cost ~100µs each). The calling domain
+    participates as worker 0, so a pool of size 1 spawns nothing and adds
+    no synchronisation. *)
 
 type t
 

@@ -5,31 +5,24 @@ open Sandtable
    open-addressed slot array over dense structure-of-arrays entry columns
    behind its own mutex.
 
-   Entries carry exactly what the layer-synchronous parallel BFS needs:
-   provenance (parent fingerprint halves + interned event id, or an init
-   index), depth, the packed in-layer discovery position, and — only while
-   the next frontier is being built — the concrete state the provenance
-   chain replays to. Cross-shard references are by fingerprint (not entry
-   index), so shards stay fully independent and resume order is a
-   non-issue.
+   Entries carry provenance (parent fingerprint halves + interned event
+   id, or an init index) and discovery depth. Cross-shard references are
+   by fingerprint (not entry index), so shards stay fully independent and
+   resume order is a non-issue.
 
    meta column layout: depth in the low 20 bits, provenance code (interned
-   event id, or the init index) above, bit 60 set for roots. pos packs
-   (parent frontier index p, successor index j) as (p lsl 31) lor j —
-   packed ints compare exactly like the lexicographic pairs. *)
+   event id, or the init index) above, bit 60 set for roots. *)
 
 let depth_bits = 20
 let depth_mask = (1 lsl depth_bits) - 1
 let code_mask = (1 lsl 40) - 1
 let root_bit = 1 lsl 60
-let pos_bits = 31
-let pos_mask = (1 lsl pos_bits) - 1
 
 type prov =
   | Proot of int  (* index into the init-state list *)
   | Pstep of Fingerprint.t * Trace.event  (* parent fingerprint, event *)
 
-type 's shard = {
+type shard = {
   lock : Mutex.t;
   mutable slots : int array;  (* entry index + 1; 0 = empty *)
   mutable fp_hi : int array;
@@ -37,8 +30,6 @@ type 's shard = {
   mutable meta : int array;
   mutable pred_hi : int array;
   mutable pred_lo : int array;
-  mutable pos : int array;
-  mutable states : 's option array;
   mutable n : int;
   mutable hits : int;
   mutable probes : int;
@@ -47,14 +38,9 @@ type 's shard = {
   mutable ev_n : int;
 }
 
-type 's t = { shards : 's shard array; mask : int }
+type t = { shards : shard array; mask : int }
 
 type stat = { s_entries : int; s_hits : int }
-
-type merge_outcome =
-  | Fresh
-  | Dup_kept
-  | Dup_replaced of { old_event : Trace.event option; old_depth : int }
 
 let rec power_of_two n = if n <= 1 then 1 else 2 * power_of_two ((n + 1) / 2)
 
@@ -69,8 +55,6 @@ let make_shard cap =
     meta = Array.make ents 0;
     pred_hi = Array.make ents 0;
     pred_lo = Array.make ents 0;
-    pos = Array.make ents 0;
-    states = Array.make ents None;
     n = 0;
     hits = 0;
     probes = 0;
@@ -134,12 +118,7 @@ let ensure_entry_room s =
     s.fp_lo <- grow_int s.fp_lo;
     s.meta <- grow_int s.meta;
     s.pred_hi <- grow_int s.pred_hi;
-    s.pred_lo <- grow_int s.pred_lo;
-    s.pos <- grow_int s.pos;
-    let slen = Array.length s.states in
-    let b = Array.make (slen + (slen / 2) + 1) None in
-    Array.blit s.states 0 b 0 slen;
-    s.states <- b
+    s.pred_lo <- grow_int s.pred_lo
   end
 
 let intern s ev =
@@ -157,7 +136,7 @@ let intern s ev =
     Hashtbl.replace s.ev_ids ev id;
     id
 
-let set_entry s e fp prov ~depth ~packed ~state =
+let set_entry s e fp prov ~depth =
   if depth > depth_mask then invalid_arg "Shard_set: depth exceeds 2^20";
   (match prov with
   | Proot i ->
@@ -169,9 +148,7 @@ let set_entry s e fp prov ~depth ~packed ~state =
     s.pred_hi.(e) <- parent.Fingerprint.hi;
     s.pred_lo.(e) <- parent.Fingerprint.lo);
   s.fp_hi.(e) <- fp.Fingerprint.hi;
-  s.fp_lo.(e) <- fp.Fingerprint.lo;
-  s.pos.(e) <- packed;
-  s.states.(e) <- state
+  s.fp_lo.(e) <- fp.Fingerprint.lo
 
 let prov_of s e =
   let m = s.meta.(e) in
@@ -181,58 +158,20 @@ let prov_of s e =
               s.evs.(code))
 
 let depth_of s e = s.meta.(e) land depth_mask
-let unpack packed = (packed lsr pos_bits, packed land pos_mask)
-
-let insert_fresh s slot fp prov ~depth ~packed ~state =
-  ensure_entry_room s;
-  let e = s.n in
-  set_entry s e fp prov ~depth ~packed ~state;
-  s.slots.(slot) <- e + 1;
-  s.n <- e + 1
 
 (* ---- public operations ------------------------------------------------- *)
 
-let merge t fp ~prov ~depth ~pos:(p, j) ~state =
-  let packed = (p lsl pos_bits) lor j in
+let add t fp prov ~depth =
   let s = shard_of t fp in
   locked s (fun () ->
       if 4 * (s.n + 1) > 3 * Array.length s.slots then grow_slots s;
       let slot = find_slot s fp in
       if s.slots.(slot) = 0 then begin
-        insert_fresh s slot fp prov ~depth ~packed ~state:(Some state);
-        Fresh
-      end
-      else begin
-        let e = s.slots.(slot) - 1 in
-        s.hits <- s.hits + 1;
-        (* keep the strictly minimal (depth, pos) entry — provenance,
-           position and state replace *together*, so the stored state is
-           always the one the stored chain replays to (under symmetry two
-           distinct concrete states can share a fingerprint) *)
-        let od = depth_of s e in
-        if depth < od || (depth = od && packed < s.pos.(e)) then begin
-          (* the displaced entry's discovering edge had been reported as
-             fresh by whichever worker won the insertion race; hand its
-             identity back so the caller can re-attribute it as the
-             duplicate it turned out to be *)
-          let old_event =
-            match prov_of s e with
-            | Proot _ -> None
-            | Pstep (_, ev) -> Some ev
-          in
-          set_entry s e fp prov ~depth ~packed ~state:(Some state);
-          Dup_replaced { old_event; old_depth = od }
-        end
-        else Dup_kept
-      end)
-
-let add_seed t fp prov ~depth =
-  let s = shard_of t fp in
-  locked s (fun () ->
-      if 4 * (s.n + 1) > 3 * Array.length s.slots then grow_slots s;
-      let slot = find_slot s fp in
-      if s.slots.(slot) = 0 then begin
-        insert_fresh s slot fp prov ~depth ~packed:0 ~state:None;
+        ensure_entry_room s;
+        let e = s.n in
+        set_entry s e fp prov ~depth;
+        s.slots.(slot) <- e + 1;
+        s.n <- e + 1;
         true
       end
       else begin
@@ -251,24 +190,7 @@ let find_prov_opt t fp = with_entry t fp prov_of
 let find_prov t fp =
   match find_prov_opt t fp with Some p -> p | None -> raise Not_found
 
-let find_pos t fp =
-  match with_entry t fp (fun s e -> unpack s.pos.(e)) with
-  | Some p -> p
-  | None -> raise Not_found
-
 let find_depth_opt t fp = with_entry t fp depth_of
-
-let take_state t fp =
-  match
-    with_entry t fp (fun s e ->
-        let st = s.states.(e) in
-        s.states.(e) <- None;
-        match st with
-        | None -> None
-        | Some v -> Some (unpack s.pos.(e), v))
-  with
-  | Some r -> r
-  | None -> None
 
 let mem t fp = with_entry t fp (fun _ _ -> ()) <> None
 
@@ -295,8 +217,7 @@ let store_bytes t =
       n
       + (Array.length s.slots
         + Array.length s.fp_hi + Array.length s.fp_lo + Array.length s.meta
-        + Array.length s.pred_hi + Array.length s.pred_lo
-        + Array.length s.pos + Array.length s.states)
+        + Array.length s.pred_hi + Array.length s.pred_lo)
         * (Sys.word_size / 8))
     0 t.shards
 

@@ -1,11 +1,9 @@
 open Sandtable
 
-(* Barrier-free work-stealing exploration engine.
-
-   The layer-synchronous engine ([Par_explorer]) pays a full barrier per
-   BFS layer: every worker waits for the slowest one at every layer tail,
-   and the telemetry "expand/barrier" split shows that wait dominating at
-   higher worker counts. This engine removes the barrier entirely:
+(* Barrier-free work-stealing exploration engine — the parallel
+   counterpart of the sequential [Explorer]. A layer-synchronous engine
+   pays a full barrier per BFS layer: every worker waits for the slowest
+   one at every layer tail. This engine has no barrier:
 
    - The frontier lives in per-worker queues of fixed-size state batches.
      A generated state is routed to the worker that owns its fingerprint
@@ -20,27 +18,26 @@ open Sandtable
      queue and decremented only after the batch is fully expanded and its
      child batches are enqueued (children before parent, so the counter
      can only touch zero when no work exists anywhere). [outstanding = 0]
-     is therefore stable, and replaces the layer barrier as the engine's
-     quiescent signal.
+     is therefore stable, and is the engine's quiescent signal.
    - Checkpoints, telemetry samples and progress fire at periodic
      "pulses": worker 0 raises a pause flag, the other workers park at
      their next batch boundary (outboxes flushed — between batches every
      routed state sits in some queue), and the paused world is a
      consistent snapshot: visited set + queued states.
 
-   States are deduplicated with first-arrival-wins [Shard_set.add_seed] —
-   no (depth, pos) merge. Consequences, also spelled out in DESIGN.md:
-   each distinct state is expanded exactly once, so [distinct] and
-   [generated] totals at exhaustion are schedule- and worker-count-
-   invariant and equal to the strict engines'; discovery depths are upper
-   bounds on BFS depth and may vary run to run, so [max_depth], depth
-   histograms, counterexample depth and any [max_depth]-budgeted totals
-   are not invariant. Violation and deadlock verdicts are invariant on
-   exhaustive runs: every reachable state is visited and checked. Use
-   [--strict-bfs] ([Par_explorer]) for bit-for-bit sequential equivalence
-   and minimal-depth counterexamples. *)
+   States are deduplicated with first-arrival-wins [Shard_set.add].
+   Consequences, also spelled out in DESIGN.md: each distinct state is
+   expanded exactly once, so [distinct] and [generated] totals at
+   exhaustion are schedule- and worker-count-invariant and equal to the
+   sequential engine's; discovery depths are upper bounds on BFS depth and
+   may vary run to run, so [max_depth], depth histograms, counterexample
+   depth and any [max_depth]-budgeted totals are not invariant. Violation
+   and deadlock verdicts are invariant on exhaustive runs: every reachable
+   state is visited and checked. Use [--strict-bfs] (the sequential
+   engine, whatever [-j]) for exact layer order and minimal-depth
+   counterexamples. *)
 
-type worker_stat = Par_explorer.worker_stat = {
+type worker_stat = {
   w_expanded : int;
   w_generated : int;
   w_inserted : int;
@@ -61,7 +58,7 @@ type result = {
 
 (* A mutex-guarded ring of batches. The owner pops from the head (FIFO —
    keeps discovery roughly breadth-first, which keeps the duplicate rate
-   close to the strict engine's); a thief takes from the tail (the work
+   close to the sequential engine's); a thief takes from the tail (the work
    least likely to be hot in the owner's cache). Item counts are kept for
    the queue-depth gauge. *)
 type 'a queue = {
@@ -129,6 +126,8 @@ let poll_sleep = 0.0002
 let batch_size = 64
 
 module Run (S : Spec.S) = struct
+  module E = Explorer.Run (S)
+
   let prov_in = function
     | Explorer.Root i -> Shard_set.Proot i
     | Explorer.Step { parent; event } -> Shard_set.Pstep (parent, event)
@@ -137,111 +136,16 @@ module Run (S : Spec.S) = struct
     | Shard_set.Proot i -> Explorer.Root i
     | Shard_set.Pstep (parent, event) -> Explorer.Step { parent; event }
 
-  (* Mirrors [Explorer.fingerprint_info] / [Par_explorer]. *)
-  let fingerprint_info ?probe (opts : Explorer.options)
-      (scenario : Scenario.t) state =
-    let b0 = if Probe.is_on probe then Fingerprint.marshalled_bytes () else 0 in
-    let fp, sym =
-      if opts.symmetry && S.permutable then begin
-        Probe.span_begin probe "symmetry-normalize";
-        let r =
-          Symmetry.canonical_fp_info ?probe ~who:S.name ~permute:S.permute
-            ~nodes:scenario.Scenario.nodes state
-        in
-        Probe.span_end probe "symmetry-normalize";
-        r
-      end
-      else begin
-        Probe.span_begin probe "fingerprint";
-        let fp = Fingerprint.of_state ~who:S.name state in
-        Probe.span_end probe "fingerprint";
-        (fp, false)
-      end
-    in
-    if Probe.is_on probe then
-      Probe.count probe "fp.bytes" (Fingerprint.marshalled_bytes () - b0);
-    (fp, sym)
-
-  let final_state scenario init_index events =
-    let s0 = List.nth (S.init scenario) init_index in
-    List.fold_left
-      (fun state event ->
-        match
-          List.find_map
-            (fun (e, s') -> if Trace.equal_event e event then Some s' else None)
-            (S.next scenario state)
-        with
-        | Some s' -> s'
-        | None -> invalid_arg "Ws_explorer: unreplayable provenance chain")
-      s0 events
-
-  (* Checkpoint-frontier recovery: the same memoized provenance replay as
-     the other engines, against the sharded store. *)
-  let rebuild_frontier visited scenario fps =
-    let memo : S.state Fingerprint.Tbl.t = Fingerprint.Tbl.create 1024 in
-    let inits = lazy (S.init scenario) in
-    let prov_of fp =
-      match Shard_set.find_prov_opt visited fp with
-      | Some p -> p
-      | None ->
-        invalid_arg
-          "Ws_explorer: checkpoint frontier references a fingerprint \
-           missing from its visited set (corrupted checkpoint?)"
-    in
-    let state_of fp0 =
-      let rec collect fp pending =
-        match Fingerprint.Tbl.find_opt memo fp with
-        | Some s -> s, pending
-        | None -> (
-          match prov_of fp with
-          | Shard_set.Proot i ->
-            let s = List.nth (Lazy.force inits) i in
-            Fingerprint.Tbl.replace memo fp s;
-            s, pending
-          | Shard_set.Pstep (parent, event) ->
-            collect parent ((fp, event) :: pending))
-      in
-      let base, pending = collect fp0 [] in
-      List.fold_left
-        (fun state (fp, event) ->
-          match
-            List.find_map
-              (fun (e, s') ->
-                if Trace.equal_event e event then Some s' else None)
-              (S.next scenario state)
-          with
-          | Some s' ->
-            Fingerprint.Tbl.replace memo fp s';
-            s'
-          | None ->
-            invalid_arg
-              "Ws_explorer: unreplayable checkpoint provenance chain \
-               (spec changed since the checkpoint was written?)")
-        base pending
-    in
-    List.map state_of fps
-
   let check ?(pulse_every = 1.0) ?resume pool scenario
       (opts : Explorer.options) =
     let started = Unix.gettimeofday () in
     let elapsed () = Unix.gettimeofday () -. started in
     let workers = Pool.size pool in
     let probe = opts.probe in
-    let resume =
-      Option.map
-        (fun (snap : Explorer.snapshot) ->
-          if snap.snap_kernel = Fingerprint.kernel_id then snap
-          else Explorer.migrate_snapshot (module S) scenario opts snap)
-        resume
-    in
-    let visited : S.state Shard_set.t = Shard_set.create ~shards:64 () in
+    let resume = Option.map (E.current_kernel scenario opts) resume in
+    let visited = Shard_set.create ~shards:64 () in
     let deadline = Option.map (fun b -> started +. b) opts.time_budget in
-    let selected_invariants =
-      match opts.only_invariants with
-      | None -> S.invariants
-      | Some names ->
-        List.filter (fun (name, _) -> List.mem name names) S.invariants
-    in
+    let selected_invariants = E.selected_invariants opts in
     let first_broken state =
       List.find_map
         (fun (name, holds) ->
@@ -256,11 +160,8 @@ module Run (S : Spec.S) = struct
       in
       back fp []
     in
-    let violation_of fp invariant depth : Explorer.violation =
-      let init_index, events = trace_of fp in
-      let state = final_state scenario init_index events in
-      { invariant; events; depth;
-        state_repr = Fmt.str "%a" S.pp_state state }
+    let violation_of fp invariant depth =
+      E.violation scenario (trace_of fp) invariant depth
     in
     (* shard_key gives 8 uniform bits; scale them onto [0, workers) *)
     let route_mask = 255 in
@@ -315,10 +216,8 @@ module Run (S : Spec.S) = struct
       List.iteri
         (fun i s ->
           if !outcome_slot = None then begin
-            let fp, sym = fingerprint_info ?probe opts scenario s in
-            let inserted =
-              Shard_set.add_seed visited fp (Shard_set.Proot i) ~depth:0
-            in
+            let fp, sym = E.fingerprint_info ?probe opts scenario s in
+            let inserted = Shard_set.add visited fp (Shard_set.Proot i) ~depth:0 in
             if Probe.is_on probe then
               Probe.edge probe ~depth:0 ~event:None ~dup:(not inserted) ~sym;
             if inserted then begin
@@ -334,12 +233,13 @@ module Run (S : Spec.S) = struct
         (S.init scenario)
     | Some snap ->
       snap.Explorer.snap_visited (fun fp prov d ->
-          ignore (Shard_set.add_seed visited fp (prov_in prov) ~depth:d));
+          ignore (Shard_set.add visited fp (prov_in prov) ~depth:d));
       Atomic.set distinct snap.Explorer.snap_distinct;
       gen_base := snap.Explorer.snap_generated;
       maxdepth_base := snap.Explorer.snap_max_depth;
-      let states =
-        rebuild_frontier visited scenario snap.Explorer.snap_frontier
+      let state_of =
+        E.replayer scenario (fun fp ->
+            Option.map prov_out (Shard_set.find_prov_opt visited fp))
       in
       (* a layered snapshot's frontier sits entirely at snap_depth; an
          unordered one's per-state depths are recovered from the seeded
@@ -353,10 +253,9 @@ module Run (S : Spec.S) = struct
           | None -> snap.Explorer.snap_depth)
       in
       seed_items :=
-        List.rev
-          (List.map2
-             (fun fp s -> (s, fp, depth_of fp))
-             snap.Explorer.snap_frontier states));
+        List.rev_map
+          (fun fp -> (state_of fp, fp, depth_of fp))
+          snap.Explorer.snap_frontier);
     (* batch the seeds by destination worker *)
     let per_dest = Array.make workers [] in
     let per_cnt = Array.make workers 0 in
@@ -466,10 +365,9 @@ module Run (S : Spec.S) = struct
           List.iter
             (fun (event, state') ->
               st_generated.(w) <- st_generated.(w) + 1;
-              let fp', sym = fingerprint_info ?probe:wp opts scenario state' in
+              let fp', sym = E.fingerprint_info ?probe:wp opts scenario state' in
               if
-                Shard_set.add_seed visited fp'
-                  (Shard_set.Pstep (fp, event))
+                Shard_set.add visited fp' (Shard_set.Pstep (fp, event))
                   ~depth:(depth + 1)
               then begin
                 st_inserted.(w) <- st_inserted.(w) + 1;
@@ -547,12 +445,10 @@ module Run (S : Spec.S) = struct
                 Probe.gauge (Probe.worker probe v) "queue.depth"
                   (float_of_int queues.(v).qitems)
               done;
-              Probe.gauge probe "visited.entries"
-                (float_of_int (Shard_set.length visited));
-              Probe.gauge probe "visited.capacity"
-                (float_of_int (Shard_set.capacity visited));
-              Probe.gauge probe "visited.store_bytes"
-                (float_of_int (Shard_set.store_bytes visited))
+              Explorer.visited_gauges probe
+                ~entries:(Shard_set.length visited)
+                ~capacity:(Shard_set.capacity visited)
+                ~store_bytes:(Shard_set.store_bytes visited) ()
             end;
             Probe.layer probe ~depth:maxd ~distinct:(Atomic.get distinct)
               ~generated:gen_now ~frontier ~elapsed:(elapsed ());
@@ -643,19 +539,11 @@ module Run (S : Spec.S) = struct
         if Atomic.get depth_pruned then Explorer.Budget_spent
         else Explorer.Exhausted
     in
-    if Probe.is_on probe then begin
-      let n = Shard_set.length visited in
-      let bytes = Shard_set.store_bytes visited in
-      Probe.gauge probe "visited.entries" (float_of_int n);
-      Probe.gauge probe "visited.capacity"
-        (float_of_int (Shard_set.capacity visited));
-      Probe.gauge probe "visited.store_bytes" (float_of_int bytes);
-      if n > 0 then
-        Probe.gauge probe "visited.bytes_per_state"
-          (float_of_int bytes /. float_of_int n);
-      Probe.gauge probe "visited.probe_steps"
-        (float_of_int (Shard_set.probe_steps visited))
-    end;
+    if Probe.is_on probe then
+      Explorer.visited_gauges probe ~entries:(Shard_set.length visited)
+        ~capacity:(Shard_set.capacity visited)
+        ~store_bytes:(Shard_set.store_bytes visited)
+        ~probe_steps:(Shard_set.probe_steps visited) ();
     let worker_stats =
       Array.init workers (fun w ->
           { w_expanded = st_expanded.(w);
@@ -690,7 +578,8 @@ let check ?workers ?pool ?pulse_every ?resume (module S : Spec.S) scenario
     in
     Pool.with_pool w (fun p -> R.check ?pulse_every ?resume p scenario opts)
 
-let states_per_sec = Par_explorer.states_per_sec
+let states_per_sec ws =
+  if ws.w_busy <= 0. then 0. else float ws.w_generated /. ws.w_busy
 
 let pp_worker_stats ppf r =
   Array.iteri
@@ -701,8 +590,9 @@ let pp_worker_stats ppf r =
         (states_per_sec ws))
     r.worker_stats
 
+(* The engine's own figures only: callers print [r.base] with
+   [Explorer.pp_result], as for the sequential engine. *)
 let pp_result ppf r =
-  Fmt.pf ppf "%a@.%d workers (work-stealing), %d pulses, %d steals \
+  Fmt.pf ppf "%d workers (work-stealing), %d pulses, %d steals \
               (%d failed attempts)@.%a"
-    Explorer.pp_result r.base r.workers r.pulses r.steals r.steal_failed
-    pp_worker_stats r
+    r.workers r.pulses r.steals r.steal_failed pp_worker_stats r

@@ -1,8 +1,7 @@
-(** Barrier-free work-stealing parallel exploration.
+(** Barrier-free work-stealing parallel exploration — the engine [check]
+    runs at [-j] > 1.
 
-    The scalable counterpart of {!Par_explorer}: instead of a
-    layer-synchronous BFS with a full barrier per layer, the frontier
-    lives in per-worker queues of state batches routed by
+    The frontier lives in per-worker queues of state batches routed by
     {!Sandtable.Fingerprint.shard_key} (the only routing function — the
     same bits that pick a {!Shard_set} shard pick the owning worker).
     Idle workers steal whole batches from the tail of busy workers'
@@ -17,16 +16,16 @@
     Deduplication is first-arrival-wins, so each distinct state is
     expanded exactly once: [distinct]/[generated] totals at exhaustion
     and violation/deadlock verdicts are identical at every worker count
-    and to the strict engines'. Discovery depths are upper bounds on BFS
-    depth and schedule-dependent, so [max_depth], depth histograms,
+    and to the sequential engine's. Discovery depths are upper bounds on
+    BFS depth and schedule-dependent, so [max_depth], depth histograms,
     counterexample depth and [max_depth]-budgeted totals are not
-    invariant — use [--strict-bfs] ({!Par_explorer}) when those matter.
-    See DESIGN.md "Two engine modes". *)
+    invariant — use [--strict-bfs], which runs the sequential engine
+    whatever [-j], when those matter. See DESIGN.md "Two engine modes". *)
 
-type worker_stat = Par_explorer.worker_stat = {
-  w_expanded : int;
-  w_generated : int;
-  w_inserted : int;
+type worker_stat = {
+  w_expanded : int;  (** frontier states this worker expanded *)
+  w_generated : int;  (** successor states it generated *)
+  w_inserted : int;  (** distinct states it was first to insert *)
   w_busy : float;  (** seconds spent expanding batches (idle time excluded) *)
 }
 
@@ -54,13 +53,20 @@ val check :
     layer record (so [--checkpoint-every k] saves every [k] pulses, and
     the default telemetry cadence samples every pulse) plus per-worker
     [queue.depth] gauges. [resume] accepts both [Layered] snapshots
-    (strict-engine checkpoints: the whole frontier seeds at
+    (sequential-engine checkpoints: the whole frontier seeds at
     [snap_depth]) and [Unordered] ones (per-state depths recovered from
-    the visited set). Early-stop ([max_states] / deadline) totals and
+    the visited set). [workers] defaults to
+    [Domain.recommended_domain_count ()]; pass [pool] to reuse a pool
+    across runs (then [workers] is ignored). Early-stop ([max_states] / deadline) totals and
     anything depth-budgeted are schedule-dependent; exhaustive totals are
     not. *)
 
 val states_per_sec : worker_stat -> float
+(** Generated states per busy second. *)
 
 val pp_worker_stats : Format.formatter -> result -> unit
+
 val pp_result : Format.formatter -> result -> unit
+(** The engine's own figures — workers, pulses, steals, per-worker stats.
+    It leaves out [base]: print that with
+    {!Sandtable.Explorer.pp_result}. *)

@@ -1,16 +1,20 @@
 (** Durable checkpoints of an exploration, and resume.
 
     A checkpoint is the {!Sandtable.Explorer.snapshot} taken at a layer
-    barrier, serialized with the {!Sandtable.Binio} wire format (section
+    barrier (sequential engine) or a quiescent pulse (work-stealing
+    engine), serialized with the {!Sandtable.Binio} wire format (section
     kind [2]) and written atomically into a run directory as
     [checkpoint.bin]. It stores only codec-friendly data — fingerprints,
     provenance, depths, counters — never marshalled spec states: on resume
     the concrete frontier states are recovered by replaying each frontier
     fingerprint's provenance chain from the initial states.
 
-    Checkpoints are engine-agnostic: one written by the sequential explorer
-    resumes under [Par_explorer.check] at any worker count, and vice versa,
-    bit-for-bit.
+    A checkpoint records its frontier mode. A [Layered] one, written by
+    the sequential engine (the engine [--strict-bfs] runs at any [-j]),
+    resumes bit-for-bit on that engine and also seeds the work-stealing
+    engine at any worker count. An [Unordered] one, written by the
+    work-stealing engine, resumes only there; the sequential engine
+    refuses it by name.
 
     {2 Resume invariants}
 

@@ -11,8 +11,9 @@ type metrics = {
   mm_states_per_sec : float;  (** generated states / wall seconds *)
   mm_peak_frontier : int;  (** largest BFS layer *)
   mm_barrier_idle_pct : float;
-      (** % of worker busy+wait time spent waiting at layer barriers
-          (0 for the sequential engine) *)
+      (** % of worker busy+wait time spent waiting: steal waits under the
+          work-stealing engine, barrier waits in parallel simulation (0
+          for the sequential engine) *)
 }
 (** Observability summary recorded by instrumented runs (schema v2). Plain
     numbers so the store stays independent of [lib/obs], which computes
@@ -44,7 +45,10 @@ type t = {
   m_scenario : string;
   m_identity : string;  (** identity digest ({!Checkpoint.digest_hex}) *)
   m_created : string;  (** UTC, ISO-8601 *)
-  m_engine : string;  (** ["seq"], ["par"] or ["ws"] *)
+  m_engine : string;
+      (** ["seq"] (the sequential engine, also under [--strict-bfs] at any
+          [-j]) or ["ws"]. Manifests from releases with the removed
+          layer-synchronous engine say ["par"]; they load unchanged. *)
   m_workers : int;
   m_cores : int;
       (** CPU cores available to the run (schema v6; [0] = unknown, the

@@ -226,6 +226,70 @@ let test_faults_command_lists_and_guards () =
       Alcotest.(check int) "no-op schedule exits 2" 2 code;
       check_contains "stderr explains" err "zero enabled fault events")
 
+let count_occurrences haystack needle =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i n =
+    if i + nl > hl then n
+    else if String.sub haystack i nl = needle then go (i + nl) (n + 1)
+    else go (i + 1) n
+  in
+  go 0 0
+
+let test_ws_outcome_printed_once () =
+  let code, out, err =
+    run_cli [ "check"; "pysyncobj"; "-j"; "2"; "--max-states"; "2000" ]
+  in
+  Alcotest.(check int) "exit 0" 0 code;
+  Alcotest.(check int) "one distinct= line across stdout and stderr" 1
+    (count_occurrences (out ^ err) "distinct=");
+  check_contains "the outcome is on stdout" out "distinct=";
+  check_contains "the engine's figures are on stderr" err "work-stealing"
+
+(* --strict-bfs runs the sequential engine whatever -j, so -j 2 must
+   reproduce -j 1 exactly: the same counters at an early stop and the
+   same counterexample, recorded as a sequential run. *)
+let test_strict_bfs_matches_j1 () =
+  let engine dir =
+    match Store.Manifest.load ~dir with
+    | Ok m -> m.Store.Manifest.m_engine
+    | Error e -> Alcotest.failf "manifest in %s: %s" dir e
+  in
+  (* the wall time is the one field allowed to differ *)
+  let without_duration s =
+    String.split_on_char ' ' s
+    |> List.filter (fun w -> not (String.starts_with ~prefix:"duration=" w))
+    |> String.concat " "
+  in
+  let run_both args =
+    with_tmpdir (fun tmp ->
+        let run j =
+          let dir = Filename.concat tmp ("j" ^ j) in
+          let code, out, _ =
+            run_cli (args @ [ "--strict-bfs"; "-j"; j; "--run-dir"; dir ])
+          in
+          Alcotest.(check string) ("-j " ^ j ^ " engine") "seq" (engine dir);
+          let trace = Filename.concat dir "trace.bin" in
+          (code, without_duration out,
+           if Sys.file_exists trace then Some (slurp trace) else None)
+        in
+        (run "1", run "2"))
+  in
+  let (c1, o1, _), (c2, o2, _) =
+    run_both [ "check"; "pysyncobj"; "--max-states"; "50000" ]
+  in
+  Alcotest.(check int) "budget stop exits 0" 0 c1;
+  Alcotest.(check int) "same exit" c1 c2;
+  check_contains "stopped on the budget" o1 "budget spent";
+  Alcotest.(check string) "same counters at the budget stop" o1 o2;
+  let (c1, o1, t1), (c2, o2, t2) =
+    run_both [ "check"; "daosraft"; "--bugs"; "daos1" ]
+  in
+  Alcotest.(check int) "violation exits 1" 1 c1;
+  Alcotest.(check int) "same exit" c1 c2;
+  Alcotest.(check string) "same stdout" o1 o2;
+  Alcotest.(check bool) "a trace was saved" true (t1 <> None);
+  Alcotest.(check bool) "byte-identical saved trace" true (t1 = t2)
+
 let suite =
   ( "cli",
     [ case "systems listing" test_systems_listing;
@@ -239,4 +303,6 @@ let suite =
       case "shrink on missing dir: exit 2" test_shrink_missing_dir_usage;
       case "unknown fault schedule: exit 2" test_faults_unknown_schedule_usage;
       case "fault schedule compile error: exit 2" test_faults_compile_error_usage;
-      case "faults command lists and guards" test_faults_command_lists_and_guards ] )
+      case "faults command lists and guards" test_faults_command_lists_and_guards;
+      case "ws check prints the outcome once" test_ws_outcome_printed_once;
+      case "--strict-bfs -j 2 equals -j 1" test_strict_bfs_matches_j1 ] )

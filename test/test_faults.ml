@@ -495,7 +495,7 @@ let test_workers_determinism_under_schedule () =
     let opts = { Explorer.default with probe = Obs.Run.probe obs } in
     let result =
       if workers = 1 then Explorer.check spec scenario opts
-      else (Par.Par_explorer.check ~workers spec scenario opts).Par.Par_explorer.base
+      else (Par.Ws_explorer.check ~workers spec scenario opts).Par.Ws_explorer.base
     in
     let summary =
       Obs.Run.finish obs ~outcome:"exhausted" ~distinct:result.Explorer.distinct

@@ -24,4 +24,5 @@ let () =
       Test_faults.suite;
       Test_registry.suite;
       Test_cli.suite;
-      Test_bugs.suite ]
+      Test_bugs.suite;
+      Test_lint.suite ]

@@ -28,7 +28,7 @@ let check_with_workers ?dir ?trace_out workers =
   let opts = { Explorer.default with probe = Obs.Run.probe obs } in
   let result =
     if workers = 1 then Explorer.check spec scenario opts
-    else (Par.Par_explorer.check ~workers spec scenario opts).base
+    else (Par.Ws_explorer.check ~workers spec scenario opts).base
   in
   let summary =
     Obs.Run.finish obs ~outcome:"exhausted" ~distinct:result.distinct
@@ -48,21 +48,24 @@ let test_merge_determinism () =
       [ 1; 2; 4 ]
   in
   let _, r1, s1 = List.hd runs in
-  (* every counter, including the perm-cache hit/miss split: engines count
-     only lookups (a deterministic total) and Run.finish derives the split
-     as lookups − 1 hits / 1 cold miss, so no counter is worker-racy *)
-  let stable (s : Obs.Run.summary) = s.s_metrics.Obs.Metrics.s_counters in
+  (* every counter about the exploration, including the perm-cache
+     hit/miss split: engines count only lookups (a deterministic total)
+     and Run.finish derives the split as lookups − 1 hits / 1 cold miss.
+     The work-stealing engine's own steal.* counters describe its schedule
+     and have no sequential counterpart. Layer records and the peak
+     frontier are sampled at schedule-dependent pulses, so they are not
+     compared either. *)
+  let stable (s : Obs.Run.summary) =
+    List.filter
+      (fun (name, _) -> not (String.starts_with ~prefix:"steal." name))
+      s.s_metrics.Obs.Metrics.s_counters
+  in
   List.iter
     (fun (j, r, s) ->
       Alcotest.(check int) (Fmt.str "j%d distinct" j) r1.Explorer.distinct
         r.Explorer.distinct;
       Alcotest.(check int) (Fmt.str "j%d generated" j) r1.Explorer.generated
         r.Explorer.generated;
-      Alcotest.(check int)
-        (Fmt.str "j%d peak frontier" j)
-        s1.Obs.Run.s_peak_frontier s.Obs.Run.s_peak_frontier;
-      Alcotest.(check int) (Fmt.str "j%d layers" j) s1.Obs.Run.s_layers
-        s.Obs.Run.s_layers;
       Alcotest.(check (list (pair string int)))
         (Fmt.str "j%d counters" j)
         (stable s1) (stable s))
@@ -133,7 +136,11 @@ let test_trace_valid_and_nested () =
           events
       in
       let tids = List.sort_uniq compare (List.map (fun (t, _, _) -> t) spans) in
-      Alcotest.(check (list int)) "one lane per worker" [ 0; 1; 2; 3 ] tids;
+      (* a work-stealing worker that starts after the tiny space drained
+         records no span (worker 0 included), so the lanes are some
+         nonempty subset of the workers *)
+      Alcotest.(check bool) "one lane per active worker" true
+        (tids <> [] && List.for_all (fun t -> t >= 0 && t < 4) tids);
       (* within a tid, spans sorted by start either nest or are disjoint
          (sub-10µs fuzz tolerated: endpoints come from separate
          gettimeofday calls) *)
@@ -302,59 +309,6 @@ let test_manifest_v3_roundtrip () =
             (Some "deliver n1>n2") p.Store.Manifest.mp_dup_top_source;
           Alcotest.(check (float 1e-9)) "peak worker skew" 7.5
             p.Store.Manifest.mp_peak_worker_skew_pct)
-
-(* ---- telemetry: layer-aligned fields deterministic across -j ---------- *)
-
-let sample_fields r =
-  let num name =
-    match Option.bind (Store.Sjson.member name r) Store.Sjson.to_int with
-    | Some n -> n
-    | None -> Alcotest.failf "sample missing %s" name
-  in
-  ( num "layer",
-    num "depth",
-    num "distinct",
-    num "generated",
-    num "frontier",
-    num "fault_phase" )
-
-let telemetry_samples dir =
-  match Obs.Events.read_all (Filename.concat dir Obs.Telemetry.file) with
-  | Error m -> Alcotest.failf "telemetry unreadable: %s" m
-  | Ok records ->
-    List.filter
-      (fun r ->
-        Option.bind (Store.Sjson.member "type" r) Store.Sjson.to_str
-        = Some "sample")
-      records
-
-let test_telemetry_layer_aligned () =
-  (* the counts a sample carries at each layer barrier are facts about the
-     exploration, not the schedule: identical at every worker count (the
-     rates, GC and per-worker split around them are diagnostic only) *)
-  let runs =
-    List.map
-      (fun j ->
-        with_tmpdir (fun dir ->
-            let _ = check_with_workers ~dir j in
-            (j, List.map sample_fields (telemetry_samples dir))))
-      [ 1; 2; 4 ]
-  in
-  let _, base = List.hd runs in
-  Alcotest.(check bool) "samples recorded" true (base <> []);
-  List.iter
-    (fun (j, fields) ->
-      Alcotest.(check int)
-        (Fmt.str "j%d sample count" j)
-        (List.length base) (List.length fields);
-      List.iter2
-        (fun (l1, d1, di1, g1, f1, p1) (l2, d2, di2, g2, f2, p2) ->
-          Alcotest.(check (list int))
-            (Fmt.str "j%d layer-aligned fields" j)
-            [ l1; d1; di1; g1; f1; p1 ]
-            [ l2; d2; di2; g2; f2; p2 ])
-        base fields)
-    (List.tl runs)
 
 (* ---- profile: duplicates reconcile with generated − distinct ---------- *)
 
@@ -538,8 +492,6 @@ let suite =
       case "trace file is valid JSON with nested spans"
         test_trace_valid_and_nested;
       case "events.ndjsonl matches explorer counters" test_events_match_result;
-      case "telemetry layer fields deterministic across -j"
-        test_telemetry_layer_aligned;
       case "profile reconciles and roundtrips"
         test_profile_reconciles_and_roundtrips;
       case "profile reconciles on every system"

@@ -1,85 +1,107 @@
-(* Equivalence of the parallel engine (lib/par) with the sequential one:
-   same distinct/generated/max_depth counters, same outcome, same violation
-   depth and trace, at every worker count — plus determinism of parallel
-   simulation and the shard-set / pool primitives they build on. *)
+(* The work-stealing engine (lib/par) against the sequential one on
+   properties beyond test_ws's totals and verdicts — counterexamples that
+   replay, depth budgets that never reach past the sequential frontier, a
+   reused pool — plus determinism of parallel simulation and the shard-set
+   / pool primitives they build on. Work stealing discovers states out of
+   BFS order, so counters are compared only on exhaustive runs. *)
 
 open Sandtable
 
 let case name f = Alcotest.test_case name `Quick f
 let worker_counts = [ 1; 2; 4 ]
 
-let counters (r : Explorer.result) = r.distinct, r.generated, r.max_depth
+let check_totals label (seq : Explorer.result) (ws : Par.Ws_explorer.result) =
+  Alcotest.(check (pair int int)) label (seq.distinct, seq.generated)
+    (ws.base.distinct, ws.base.generated)
 
-let check_counters label seq (par : Par.Par_explorer.result) =
-  Alcotest.(check (triple int int int)) label (counters seq) (counters par.base)
+(* Replay a counterexample from the (single) init state. *)
+let replay spec scenario events =
+  let module S = (val spec : Spec.S) in
+  let module E = Explorer.Run (S) in
+  let final = E.final_state scenario 0 events in
+  (Fmt.str "%a" S.pp_state final, List.length (S.next scenario final),
+   fun name -> (List.assoc name S.invariants) scenario final)
+
+(* The reported trace is a real counterexample: it replays to the
+   reported state, that state breaks the reported invariant, and it is no
+   shorter than the sequential engine's minimal-depth one. *)
+let check_ws_violation label spec scenario (sv : Explorer.violation)
+    (ws : Par.Ws_explorer.result) =
+  match ws.base.outcome with
+  | Explorer.Violation wv ->
+    Alcotest.(check string) (label ^ " invariant") sv.invariant wv.invariant;
+    let repr, _, holds = replay spec scenario wv.events in
+    Alcotest.(check string) (label ^ " reported state") repr wv.state_repr;
+    Alcotest.(check bool) (label ^ " replays to a violation") false
+      (holds wv.invariant);
+    Alcotest.(check int) (label ^ " depth is the trace length")
+      (List.length wv.events) wv.depth;
+    Alcotest.(check bool) (label ^ " sequential depth is minimal") true
+      (wv.depth >= sv.depth)
+  | _ -> Alcotest.failf "%s: work-stealing run must violate" label
+
+let seq_violation spec scenario opts =
+  match (Explorer.check spec scenario opts).outcome with
+  | Explorer.Violation v -> v
+  | _ -> Alcotest.fail "sequential run must violate"
 
 let test_toy_exhaustive_equivalence () =
+  (* one pool serves every run: the engine leaves it reusable *)
   let scenario = Toy_spec.scenario ~nodes:2 ~timeouts:4 in
   let spec = Toy_spec.spec () in
-  List.iter
-    (fun symmetry ->
-      let opts = { Explorer.default with symmetry } in
-      let seq = Explorer.check spec scenario opts in
+  Par.Pool.with_pool 4 (fun pool ->
       List.iter
-        (fun workers ->
-          let par = Par.Par_explorer.check ~workers spec scenario opts in
-          (match par.base.outcome with
-          | Explorer.Exhausted -> ()
-          | _ -> Alcotest.fail "parallel run should exhaust");
-          check_counters
-            (Fmt.str "counters sym=%b workers=%d" symmetry workers)
-            seq par)
-        worker_counts)
-    [ false; true ]
+        (fun symmetry ->
+          let opts = { Explorer.default with symmetry } in
+          let seq = Explorer.check spec scenario opts in
+          for round = 1 to 3 do
+            let ws = Par.Ws_explorer.check ~pool spec scenario opts in
+            (match ws.base.outcome with
+            | Explorer.Exhausted -> ()
+            | _ -> Alcotest.fail "work-stealing run should exhaust");
+            check_totals
+              (Fmt.str "totals sym=%b round=%d" symmetry round)
+              seq ws
+          done)
+        [ false; true ])
 
 let test_toy_violation_equivalence () =
   let scenario = Toy_spec.scenario ~nodes:3 ~timeouts:6 in
   let spec = Toy_spec.spec ~limit:3 () in
-  let seq = Explorer.check spec scenario Explorer.default in
-  let sv =
-    match seq.outcome with
-    | Explorer.Violation v -> v
-    | _ -> Alcotest.fail "sequential run must violate"
-  in
+  let sv = seq_violation spec scenario Explorer.default in
   List.iter
     (fun workers ->
-      let par =
-        Par.Par_explorer.check ~workers spec scenario Explorer.default
-      in
-      match par.base.outcome with
-      | Explorer.Violation pv ->
-        let l = Fmt.str "workers=%d" workers in
-        Alcotest.(check string) (l ^ " invariant") sv.invariant pv.invariant;
-        Alcotest.(check int) (l ^ " depth") sv.depth pv.depth;
-        Alcotest.(check string) (l ^ " state") sv.state_repr pv.state_repr;
-        Alcotest.(check bool) (l ^ " trace") true
-          (List.length sv.events = List.length pv.events
-          && List.for_all2 Trace.equal_event sv.events pv.events);
-        check_counters (l ^ " counters") seq par
-      | _ -> Alcotest.fail "parallel run must violate")
+      check_ws_violation (Fmt.str "workers=%d" workers) spec scenario sv
+        (Par.Ws_explorer.check ~workers spec scenario Explorer.default))
     worker_counts
 
 let test_toy_deadlock_equivalence () =
   let scenario = Toy_spec.scenario ~nodes:1 ~timeouts:2 in
   let opts = { Explorer.default with check_deadlock = true } in
-  let seq = Explorer.check (Toy_spec.spec ()) scenario opts in
+  let spec = Toy_spec.spec () in
+  let se =
+    match (Explorer.check spec scenario opts).outcome with
+    | Explorer.Deadlock t -> t
+    | _ -> Alcotest.fail "sequential run must deadlock"
+  in
   List.iter
     (fun workers ->
-      let par =
-        Par.Par_explorer.check ~workers (Toy_spec.spec ()) scenario opts
-      in
-      match seq.outcome, par.base.outcome with
-      | Explorer.Deadlock se, Explorer.Deadlock pe ->
-        Alcotest.(check int)
-          (Fmt.str "deadlock trace workers=%d" workers)
-          (List.length se) (List.length pe);
-        check_counters (Fmt.str "counters workers=%d" workers) seq par
-      | _ -> Alcotest.fail "both runs must deadlock")
+      match (Par.Ws_explorer.check ~workers spec scenario opts).base.outcome with
+      | Explorer.Deadlock we ->
+        let l = Fmt.str "workers=%d" workers in
+        let _, succs, _ = replay spec scenario we in
+        Alcotest.(check int) (l ^ " replays to a state without successors")
+          0 succs;
+        Alcotest.(check bool) (l ^ " sequential trace is minimal") true
+          (List.length we >= List.length se)
+      | _ -> Alcotest.failf "workers=%d: work-stealing run must deadlock" workers)
     worker_counts
 
 let test_toy_depth_budget_equivalence () =
-  (* max_depth stops at a layer boundary in both engines, so even the
-     budget-stop counters must agree exactly *)
+  (* discovery depths are upper bounds on BFS depth, so a depth budget
+     stops the work-stealing engine inside the sequential engine's
+     budgeted space: it never holds more states, and it still reports
+     the budget stop *)
   let scenario = Toy_spec.scenario ~nodes:2 ~timeouts:20 in
   let opts =
     { Explorer.default with max_depth = Some 3; symmetry = false }
@@ -87,19 +109,19 @@ let test_toy_depth_budget_equivalence () =
   let seq = Explorer.check (Toy_spec.spec ()) scenario opts in
   List.iter
     (fun workers ->
-      let par =
-        Par.Par_explorer.check ~workers (Toy_spec.spec ()) scenario opts
-      in
-      (match par.base.outcome with
+      let ws = Par.Ws_explorer.check ~workers (Toy_spec.spec ()) scenario opts in
+      let l = Fmt.str "workers=%d" workers in
+      (match ws.base.outcome with
       | Explorer.Budget_spent -> ()
-      | _ -> Alcotest.fail "expected budget stop");
-      check_counters (Fmt.str "counters workers=%d" workers) seq par)
+      | _ -> Alcotest.failf "%s: expected budget stop" l);
+      Alcotest.(check bool) (l ^ " within the sequential space") true
+        (ws.base.distinct <= seq.distinct && ws.base.max_depth <= 4))
     worker_counts
 
 let test_buggy_system_equivalence () =
-  (* a real registry system with an injected protocol bug: the parallel
-     engine must find the same minimal-depth violation with the same
-     sequential-equivalent counters *)
+  (* a real registry system with an injected protocol bug: the
+     work-stealing engine must find a replayable violation of the same
+     invariant *)
   let module R = Systems.Registry in
   let sys = R.find "raftos" in
   let info =
@@ -111,58 +133,53 @@ let test_buggy_system_equivalence () =
       only_invariants = Some [ "MatchIndexMonotonic" ];
       time_budget = Some 120. }
   in
-  let seq = Explorer.check spec info.scenario opts in
-  let sv =
-    match seq.outcome with
-    | Explorer.Violation v -> v
-    | _ -> Alcotest.fail "sequential run must violate"
-  in
+  let sv = seq_violation spec info.scenario opts in
   List.iter
     (fun workers ->
-      let par = Par.Par_explorer.check ~workers spec info.scenario opts in
-      match par.base.outcome with
-      | Explorer.Violation pv ->
-        let l = Fmt.str "workers=%d" workers in
-        Alcotest.(check string) (l ^ " invariant") sv.invariant pv.invariant;
-        Alcotest.(check int) (l ^ " depth") sv.depth pv.depth;
-        Alcotest.(check bool) (l ^ " trace") true
-          (List.length sv.events = List.length pv.events
-          && List.for_all2 Trace.equal_event sv.events pv.events);
-        check_counters (l ^ " counters") seq par
-      | _ -> Alcotest.fail "parallel run must violate")
+      check_ws_violation (Fmt.str "workers=%d" workers) spec info.scenario sv
+        (Par.Ws_explorer.check ~workers spec info.scenario opts))
     worker_counts
+
+let tiny_budget =
+  [ ("timeouts", 2); ("requests", 1); ("crashes", 0); ("restarts", 0);
+    ("partitions", 0); ("buffer", 2); ("drops", 0); ("dups", 0);
+    ("epochs", 1) ]
+
+let test_registry_sweep_equivalence () =
+  (* every integrated system, clean spec, symmetry reduction off (test_ws
+     covers it on): exhaustive totals agree at every worker count *)
+  let module R = Systems.Registry in
+  let opts = { Explorer.default with symmetry = false } in
+  List.iter
+    (fun (sys : R.t) ->
+      let spec = sys.spec (Systems.Bug.flags []) in
+      let scenario =
+        Scenario.v ~name:(sys.name ^ "-tiny") ~nodes:2 ~workload:[ 1 ]
+          tiny_budget
+      in
+      let seq = Explorer.check spec scenario opts in
+      Alcotest.(check bool)
+        (sys.name ^ " explores something") true (seq.generated > 0);
+      List.iter
+        (fun workers ->
+          check_totals
+            (Fmt.str "%s workers=%d" sys.name workers)
+            seq
+            (Par.Ws_explorer.check ~workers spec scenario opts))
+        worker_counts)
+    R.all
 
 let trace_bytes events =
   let b = Binio.sink () in
   List.iter (Trace.encode_event b) events;
   Binio.contents b
 
-let test_registry_sweep_equivalence () =
-  (* every integrated system, clean spec, shallow layer-aligned budget:
-     the two engines must agree exactly on (distinct, generated, max_depth)
-     at every worker count. max_depth stops at a layer boundary, so even
-     these budget-stopped counters are deterministic. *)
-  let module R = Systems.Registry in
-  List.iter
-    (fun (sys : R.t) ->
-      let spec = sys.spec (Systems.Bug.flags []) in
-      let opts = { Explorer.default with max_depth = Some 2 } in
-      let seq = Explorer.check spec sys.table3_scenario opts in
-      Alcotest.(check bool)
-        (sys.name ^ " explores something") true (seq.generated > 0);
-      List.iter
-        (fun workers ->
-          let par =
-            Par.Par_explorer.check ~workers spec sys.table3_scenario opts
-          in
-          check_counters (Fmt.str "%s workers=%d" sys.name workers) seq par)
-        worker_counts)
-    R.all
-
 let test_violation_trace_bytes_equal () =
-  (* the counterexample must agree down to its serialized bytes — the
-     strongest cross-engine equivalence we can assert, and what replay
-     scripts and the shrinker consume *)
+  (* the counterexample must agree down to its serialized bytes — what
+     replay scripts and the shrinker consume. Work stealing reports a
+     counterexample of schedule-dependent depth, so the guarantee rides
+     on the strict-BFS route, which must pick the sequential engine at
+     every worker count and match the default -j1 route exactly *)
   let module R = Systems.Registry in
   let sys = R.find "daosraft" in
   let info =
@@ -170,54 +187,59 @@ let test_violation_trace_bytes_equal () =
   in
   let spec = sys.spec (Systems.Bug.flags info.flags) in
   let opts = { Explorer.default with time_budget = Some 120. } in
-  let seq = Explorer.check spec info.scenario opts in
-  let sv =
-    match seq.outcome with
-    | Explorer.Violation v -> v
-    | _ -> Alcotest.fail "sequential run must violate"
+  let run ~strict_bfs workers =
+    let engine =
+      Par.Engine.choose ~strict_bfs ~workers ~resume_unordered:false
+    in
+    Alcotest.(check string)
+      (Fmt.str "engine strict=%b workers=%d" strict_bfs workers)
+      "seq" (Par.Engine.name engine);
+    match engine with
+    | Par.Engine.Seq -> Explorer.check spec info.scenario opts
+    | Par.Engine.Ws ->
+      (Par.Ws_explorer.check ~workers spec info.scenario opts).base
   in
+  let violation label (r : Explorer.result) =
+    match r.outcome with
+    | Explorer.Violation v -> v
+    | _ -> Alcotest.failf "%s: run must violate" label
+  in
+  let reference = run ~strict_bfs:false 1 in
+  let rv = violation "workers=1" reference in
   List.iter
     (fun workers ->
-      let par = Par.Par_explorer.check ~workers spec info.scenario opts in
-      match par.base.outcome with
-      | Explorer.Violation pv ->
-        Alcotest.(check string)
-          (Fmt.str "trace bytes workers=%d" workers)
-          (Digest.to_hex (Digest.string (trace_bytes sv.events)))
-          (Digest.to_hex (Digest.string (trace_bytes pv.events)));
-        check_counters (Fmt.str "counters workers=%d" workers) seq par
-      | _ -> Alcotest.fail "parallel run must violate")
-    worker_counts
+      let l = Fmt.str "strict workers=%d" workers in
+      let r = run ~strict_bfs:true workers in
+      let v = violation l r in
+      Alcotest.(check string) (l ^ " trace bytes")
+        (Digest.to_hex (Digest.string (trace_bytes rv.events)))
+        (Digest.to_hex (Digest.string (trace_bytes v.events)));
+      Alcotest.(check (triple int int int)) (l ^ " counters")
+        (reference.distinct, reference.generated, reference.max_depth)
+        (r.distinct, r.generated, r.max_depth))
+    worker_counts;
+  Alcotest.(check string) "without strict BFS, -j2 steals work" "ws"
+    (Par.Engine.name
+       (Par.Engine.choose ~strict_bfs:false ~workers:2
+          ~resume_unordered:false))
 
 let test_symmetry_collision_provenance () =
-  (* regression: under symmetry reduction, distinct concrete states collide
-     on one canonical fingerprint within a layer; the frontier must carry
-     the variant whose provenance the table kept (the minimal-pos one) or
-     violation replay crashes ("unreplayable provenance chain") / reports a
-     variant the sequential engine would not. The race only opens at >= 2
-     workers, so repeat the run to widen its window. *)
+  (* under symmetry reduction, distinct concrete states collide on one
+     canonical fingerprint; whichever variant a worker inserts first, the
+     stored provenance must replay to the state the worker went on to
+     expand, or violation replay crashes ("unreplayable provenance
+     chain"). Repeat the run to widen the race window. *)
   let scenario = Toy_spec.scenario ~nodes:4 ~timeouts:10 in
   let spec = Toy_spec.spec ~limit:5 () in
   let opts = { Explorer.default with symmetry = true } in
-  let seq = Explorer.check spec scenario opts in
-  let sv =
-    match seq.outcome with
-    | Explorer.Violation v -> v
-    | _ -> Alcotest.fail "sequential run must violate"
-  in
+  let sv = seq_violation spec scenario opts in
   for round = 1 to 10 do
     List.iter
       (fun workers ->
-        let par = Par.Par_explorer.check ~workers spec scenario opts in
-        match par.base.outcome with
-        | Explorer.Violation pv ->
-          let l = Fmt.str "round %d workers=%d" round workers in
-          Alcotest.(check string) (l ^ " state") sv.state_repr pv.state_repr;
-          Alcotest.(check bool) (l ^ " trace") true
-            (List.length sv.events = List.length pv.events
-            && List.for_all2 Trace.equal_event sv.events pv.events);
-          check_counters (l ^ " counters") seq par
-        | _ -> Alcotest.fail "parallel run must violate")
+        check_ws_violation
+          (Fmt.str "round %d workers=%d" round workers)
+          spec scenario sv
+          (Par.Ws_explorer.check ~workers spec scenario opts))
       [ 2; 4 ]
   done
 
@@ -270,7 +292,7 @@ let test_simulate_aggregate_matches () =
     (Coverage.cardinal agg.union_coverage)
 
 let test_shard_set_concurrent () =
-  let set : int Par.Shard_set.t = Par.Shard_set.create ~shards:8 () in
+  let set = Par.Shard_set.create ~shards:8 () in
   let fps = Array.init 500 (fun i -> Fingerprint.of_state (i mod 250)) in
   Par.Pool.with_pool 4 (fun pool ->
       Par.Pool.run pool (fun w ->
@@ -278,8 +300,7 @@ let test_shard_set_concurrent () =
             (fun i fp ->
               if i mod 4 = w then
                 ignore
-                  (Par.Shard_set.add_seed set fp (Par.Shard_set.Proot i)
-                     ~depth:0))
+                  (Par.Shard_set.add set fp (Par.Shard_set.Proot i) ~depth:0))
             fps));
   Alcotest.(check int) "distinct" 250 (Par.Shard_set.length set);
   let stats = Par.Shard_set.stats set in
@@ -292,48 +313,6 @@ let test_shard_set_concurrent () =
   Array.iter
     (fun fp -> Alcotest.(check bool) "mem" true (Par.Shard_set.mem set fp))
     fps
-
-let test_shard_set_merge_keeps_min () =
-  let set : string Par.Shard_set.t = Par.Shard_set.create ~shards:4 () in
-  let fp = Fingerprint.of_state "x" in
-  let parent = Fingerprint.of_state "parent" in
-  let step n =
-    Par.Shard_set.Pstep (parent, Trace.Timeout { node = n; kind = "t" })
-  in
-  Alcotest.(check bool) "first insert" true
-    (Par.Shard_set.merge set fp ~prov:(step 9) ~depth:2 ~pos:(1, 0)
-       ~state:"late"
-     = Par.Shard_set.Fresh);
-  (* same depth, smaller pos: replaces prov, pos and state together and
-     names the displaced edge so the profiler can re-attribute it *)
-  (match
-     Par.Shard_set.merge set fp ~prov:(step 3) ~depth:2 ~pos:(0, 1)
-       ~state:"early"
-   with
-  | Par.Shard_set.Dup_replaced
-      { old_event = Some (Trace.Timeout { node; _ }); old_depth } ->
-    Alcotest.(check int) "displaced event" 9 node;
-    Alcotest.(check int) "displaced depth" 2 old_depth
-  | _ -> Alcotest.fail "expected Dup_replaced naming the displaced edge");
-  (* larger pos: existing minimal entry is retained *)
-  Alcotest.(check bool) "larger pos ignored" true
-    (Par.Shard_set.merge set fp ~prov:(step 7) ~depth:2 ~pos:(0, 2)
-       ~state:"later"
-     = Par.Shard_set.Dup_kept);
-  (match Par.Shard_set.find_prov set fp with
-  | Par.Shard_set.Pstep (p, Trace.Timeout { node; _ }) ->
-    Alcotest.(check bool) "parent kept" true (Fingerprint.equal p parent);
-    Alcotest.(check int) "minimal event kept" 3 node
-  | _ -> Alcotest.fail "expected a step provenance");
-  Alcotest.(check (pair (pair int int) string))
-    "minimal pos and its state kept" ((0, 1), "early")
-    (match Par.Shard_set.take_state set fp with
-    | Some r -> r
-    | None -> Alcotest.fail "state missing");
-  Alcotest.(check bool) "state taken at most once" true
-    (Par.Shard_set.take_state set fp = None);
-  Alcotest.(check (pair int int)) "pos still readable" (0, 1)
-    (Par.Shard_set.find_pos set fp)
 
 let test_pool_runs_all_workers () =
   let hits = Array.make 4 0 in
@@ -378,7 +357,7 @@ let suite =
       case "buggy registry system equivalence" test_buggy_system_equivalence;
       case "registry-wide sweep equivalence (1/2/4 workers)"
         test_registry_sweep_equivalence;
-      case "violation trace bytes identical across engines"
+      case "violation trace bytes identical under strict BFS"
         test_violation_trace_bytes_equal;
       case "symmetry-collision provenance stays replayable"
         test_symmetry_collision_provenance;
@@ -387,7 +366,6 @@ let suite =
       case "parallel walks aggregate like sequential ones"
         test_simulate_aggregate_matches;
       case "shard set under concurrent insertion" test_shard_set_concurrent;
-      case "shard set merge keeps minimum" test_shard_set_merge_keeps_min;
       case "pool barrier runs every worker" test_pool_runs_all_workers;
       case "pool propagates worker exceptions" test_pool_propagates_exceptions;
       case "fingerprinting a closure names the spec"

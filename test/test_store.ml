@@ -439,54 +439,90 @@ let check_violation_equal label (full : Explorer.result)
     (full.distinct, full.generated, full.max_depth)
     (resumed.distinct, resumed.generated, resumed.max_depth)
 
-(* Interrupt a run with a max_depth budget ("the crash"), checkpointing at
-   every layer barrier; resume from the last checkpoint without the budget
-   and require the exact uninterrupted result, for every engine pairing. *)
+let check_verdict_equal label (full : Explorer.result)
+    (resumed : Explorer.result) =
+  match full.outcome, resumed.outcome with
+  | Explorer.Violation fv, Explorer.Violation rv ->
+    Alcotest.(check string) (label ^ " invariant") fv.invariant rv.invariant
+  | _ -> Alcotest.failf "%s: both runs must violate" label
+
+let resume_ws ~workers snap spec scenario =
+  (Par.Ws_explorer.check ~workers ~resume:snap spec scenario toy_opts).base
+
+(* Interrupt a run on a budget ("the crash"), checkpointing at every layer
+   barrier (sequential) or pulse (work stealing), and resume from the last
+   checkpoint without the budget. The sequential engine resumes its own
+   checkpoint to the exact uninterrupted result. The work-stealing engine
+   resumes either engine's checkpoint to the uninterrupted verdict and, on
+   an exhaustive space, to the exact uninterrupted totals. *)
 let test_kill_and_resume () =
-  let spec = Toy_spec.spec ~limit:4 () in
   let scenario = Toy_spec.scenario ~nodes:3 ~timeouts:8 in
+  let checkpointed ~ws spec dir =
+    let identity = Store.Checkpoint.identity spec scenario toy_opts in
+    let hook = Some (Store.Checkpoint.hook ~dir ~identity ~every:1 ()) in
+    let interrupted =
+      if ws then
+        (* pulse at every batch boundary: the first pulse, before any
+           expansion, always writes a checkpoint. Three states stop the
+           run before any chain is long enough to violate. *)
+        (Par.Ws_explorer.check ~workers:2 ~pulse_every:0.0 spec scenario
+           { toy_opts with max_states = Some 3; on_layer = hook })
+          .base
+      else
+        Explorer.check spec scenario
+          { toy_opts with max_depth = Some 2; on_layer = hook }
+    in
+    (match interrupted.outcome with
+    | Explorer.Budget_spent -> ()
+    | _ -> Alcotest.fail "interrupted run must stop on budget");
+    Store.Checkpoint.load ~dir ~identity
+  in
+  (* a violating space: verdicts *)
+  let spec = Toy_spec.spec ~limit:4 () in
   let full = Explorer.check spec scenario toy_opts in
   (match full.outcome with
   | Explorer.Violation _ -> ()
   | _ -> Alcotest.fail "uninterrupted run must violate");
-  let identity = Store.Checkpoint.identity spec scenario toy_opts in
-  let interrupted_checkpoint ~par dir =
-    let opts =
-      { toy_opts with
-        max_depth = Some 2;
-        on_layer = Some (Store.Checkpoint.hook ~dir ~identity ~every:1 ()) }
-    in
-    let interrupted =
-      if par then (Par.Par_explorer.check ~workers:2 spec scenario opts).base
-      else Explorer.check spec scenario opts
-    in
-    match interrupted.outcome with
-    | Explorer.Budget_spent -> ()
-    | _ -> Alcotest.fail "interrupted run must stop on budget"
-  in
-  (* sequentially-written checkpoint, resumed at 1/2/4 workers *)
   with_tmpdir (fun dir ->
-      interrupted_checkpoint ~par:false dir;
-      let snap = Store.Checkpoint.load ~dir ~identity in
+      let snap = checkpointed ~ws:false spec dir in
+      check_violation_equal "seq ckpt, resume seq" full
+        (Explorer.check ~resume:snap spec scenario toy_opts);
       List.iter
         (fun workers ->
-          let resumed =
-            if workers = 1 then
-              Explorer.check ~resume:snap spec scenario toy_opts
-            else
-              (Par.Par_explorer.check ~workers ~resume:snap spec scenario
-                 toy_opts)
-                .base
-          in
-          check_violation_equal (Fmt.str "seq ckpt, resume j%d" workers) full
-            resumed)
-        [ 1; 2; 4 ]);
-  (* parallel-written checkpoint, resumed sequentially (cross-engine) *)
+          check_verdict_equal
+            (Fmt.str "seq ckpt, resume ws j%d" workers)
+            full (resume_ws ~workers snap spec scenario))
+        [ 2; 4 ]);
   with_tmpdir (fun dir ->
-      interrupted_checkpoint ~par:true dir;
-      let snap = Store.Checkpoint.load ~dir ~identity in
-      let resumed = Explorer.check ~resume:snap spec scenario toy_opts in
-      check_violation_equal "par ckpt, resume seq" full resumed)
+      let snap = checkpointed ~ws:true spec dir in
+      List.iter
+        (fun workers ->
+          check_verdict_equal
+            (Fmt.str "ws ckpt, resume ws j%d" workers)
+            full (resume_ws ~workers snap spec scenario))
+        [ 1; 2 ]);
+  (* an exhaustive space: exact totals *)
+  let spec = Toy_spec.spec () in
+  let full = Explorer.check spec scenario toy_opts in
+  let totals (r : Explorer.result) =
+    (match r.outcome with
+    | Explorer.Exhausted -> ()
+    | _ -> Alcotest.fail "run must exhaust");
+    (r.distinct, r.generated)
+  in
+  List.iter
+    (fun ws ->
+      with_tmpdir (fun dir ->
+          let snap = checkpointed ~ws spec dir in
+          List.iter
+            (fun workers ->
+              Alcotest.(check (pair int int))
+                (Fmt.str "%s ckpt, resume ws j%d totals"
+                   (if ws then "ws" else "seq") workers)
+                (totals full)
+                (totals (resume_ws ~workers snap spec scenario)))
+            [ 1; 2; 4 ]))
+    [ false; true ]
 
 let test_resume_exhaustive () =
   (* no violation: resumed exploration must still cover the exact space *)
@@ -540,8 +576,9 @@ let legacy_snapshot (snap : Explorer.snapshot) : Explorer.snapshot =
 
 let test_resume_migrates_legacy_kernel () =
   (* a kernel-0 checkpoint (foreign fingerprints throughout) must resume
-     bit-for-bit on both engines: load detects the kernel mismatch and
-     rebuilds every fingerprint by provenance replay *)
+     bit-for-bit on the sequential engine and to the same verdict on the
+     work-stealing one: load detects the kernel mismatch and rebuilds every
+     fingerprint by provenance replay *)
   let spec = Toy_spec.spec ~limit:4 () in
   let scenario = Toy_spec.scenario ~nodes:3 ~timeouts:8 in
   let full = Explorer.check spec scenario toy_opts in
@@ -560,20 +597,10 @@ let test_resume_migrates_legacy_kernel () =
       let snap = Store.Checkpoint.load ~dir ~identity in
       Alcotest.(check int) "legacy kernel tag survives save/load" 0
         snap.snap_kernel;
-      List.iter
-        (fun workers ->
-          let resumed =
-            if workers = 1 then
-              Explorer.check ~resume:snap spec scenario toy_opts
-            else
-              (Par.Par_explorer.check ~workers ~resume:snap spec scenario
-                 toy_opts)
-                .base
-          in
-          check_violation_equal
-            (Fmt.str "legacy ckpt, resume j%d" workers)
-            full resumed)
-        [ 1; 2 ])
+      check_violation_equal "legacy ckpt, resume seq" full
+        (Explorer.check ~resume:snap spec scenario toy_opts);
+      check_verdict_equal "legacy ckpt, resume ws j2" full
+        (resume_ws ~workers:2 snap spec scenario))
 
 let test_migrate_snapshot_is_native () =
   (* migrating then snapshotting must yield exactly the current-kernel
